@@ -18,6 +18,19 @@ vet:
 test:
 	$(GO) test ./...
 
+# fmt-check fails, listing the files, when any Go source needs gofmt.
+GOFMT_DIRS = *.go cmd examples internal perfbench
+
+fmt-check:
+	@out=$$(gofmt -l $(GOFMT_DIRS)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# bench-check vets and tests the benchmark harness. perfbench is a Go
+# module of its own, so ./... above never compiles it; its tests also
+# catch a change to the internal APIs it drives.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The race runs include a pass with the statsguard build tag, which arms
 # the stats.Run single-writer ownership assertion (internal/stats). The
 # guard resolves the writing goroutine's id via runtime.Stack on every
@@ -27,9 +40,9 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/
 
-.PHONY: build vet test race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus
+.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus
 
-check: build vet test race
+check: build vet fmt-check test race bench-check
 
 # verify runs the differential verification harness (DESIGN.md §10):
 # every workload at quick sizes, each captured instruction checked

@@ -10,7 +10,7 @@
 //	simd-bench -all -workers 4    bound the worker pool
 //
 // Sweeps (one functional execution per workload×width×size group; every
-// policy cell is a bit-parallel trace replay of that group's masks):
+// policy cell is a trace replay of that group's masks):
 //
 //	simd-bench -sweep bsearch,urng                      full-policy sweep
 //	simd-bench -sweep bsearch -policies scc,bcc \

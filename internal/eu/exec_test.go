@@ -321,6 +321,7 @@ func TestStatsRecordedPerInstr(t *testing.T) {
 		{Op: isa.OpMov, Width: isa.SIMD16, DType: isa.U32, Dst: isa.GRF(20), Src0: isa.ImmU32(1)},
 		{Op: isa.OpHalt, Width: isa.SIMD16},
 	}, 16, 0xFFFF)
+	th.Stats.Flush()
 	if th.Stats.Instructions != 2 {
 		t.Fatalf("instructions = %d, want 2 (mov + halt)", th.Stats.Instructions)
 	}

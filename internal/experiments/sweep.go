@@ -23,11 +23,12 @@ import (
 // trace of a functional run is policy-invariant, so a policy sweep needs
 // one functional execution per (workload, width, size) group — the trace
 // is captured by that execution and every policy cell is evaluated by
-// replaying it through the bit-parallel cost kernels of internal/trace.
-// Replayed accounting is asserted bit-identical to the capturing run on
-// every group (stats.MaskCountsEqual), and Verify additionally checks
-// the captured trace record by record against the independent oracle
-// model. Both the CLI sweep (simd-bench -sweep) and the batch serving
+// replaying it through trace.ReplayObserved, which costs each distinct
+// signature of the trace once. Replayed accounting is asserted
+// bit-identical to the capturing run on every group
+// (stats.MaskCountsEqual) — a check that the capture is faithful — and
+// Verify additionally checks the captured trace record by record against
+// the independent oracle model. Both the CLI sweep (simd-bench -sweep) and the batch serving
 // endpoint (POST /v1/sweep) sit on ExecuteGroup, so they evaluate cells
 // through the same engine.
 
@@ -106,8 +107,7 @@ type GroupSpec struct {
 	// Verify additionally replays the captured trace through the
 	// independent oracle model (internal/oracle), checking per-record
 	// cost exactness, the cycle ladder, and SCC schedule soundness —
-	// including the memoized schedule cache the replay kernels share
-	// with the timed engine.
+	// including the memoized schedule cache the timed engine uses.
 	Verify bool
 }
 
@@ -167,8 +167,8 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 		}
 		rep := trace.ReplayObserved(base.Name, p.String(), base.Width, col.Records, probe)
 		// The free equivalence check of the trace-once design: if the
-		// replay kernels ever disagreed with the engine's per-instruction
-		// accounting, the sweep fails rather than serving wrong costs.
+		// captured trace ever disagreed with what the execution counted,
+		// the sweep fails rather than serving wrong costs.
 		if !rep.MaskCountsEqual(base) {
 			return nil, fmt.Errorf("experiments: %s/%s: replayed trace accounting diverges from the capturing execution", spec.Name, p)
 		}

@@ -102,9 +102,9 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *sta
 // Workgroups are independent (the NDRange model forbids cross-workgroup
 // synchronization within a launch), so they are sharded across a worker
 // pool of Config.Workers goroutines (default runtime.GOMAXPROCS). Each
-// workgroup accumulates into a private stats.Run shard; shards are merged
-// in ascending workgroup order, so a parallel run produces statistics
-// bit-identical to a serial one (see DESIGN.md §7). A non-nil visit
+// worker accumulates into a private stats.Run shard; every shard field is
+// an integer sum, so merging them yields statistics bit-identical to a
+// serial run (see DESIGN.md §7). A non-nil visit
 // forces serial execution: trace capture needs the exact serial
 // interleaving of the record stream.
 func (g *GPU) RunFunctional(spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {
@@ -156,17 +156,21 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		if probe != nil {
 			probe.LaunchEnd(steps)
 		}
+		run.Flush()
 		return run, nil
 	}
 
 	// Parallel path: workgroups are claimed dynamically by the pool, each
-	// writing into its own shard; the backing store runs in shared mode
-	// for the duration (striped line locks make idempotent overlapping
-	// writes and cross-workgroup atomics well-defined).
-	shards := make([]*stats.Run, numWGs)
+	// worker writing into its own shard, so each shard counts a signature
+	// once however many of its workgroups execute it; the backing store
+	// runs in shared mode for the duration (striped line locks make
+	// idempotent overlapping writes and cross-workgroup atomics
+	// well-defined).
+	shards := make([]*stats.Run, workers)
 	errs := make([]error, numWGs)
 	pools := make([][]*eu.Thread, workers)
 	for w := range pools {
+		shards[w] = stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 		pools[w] = make([]*eu.Thread, threadsPerWG)
 		for i := range pools[w] {
 			pools[w][i] = &eu.Thread{}
@@ -186,13 +190,11 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 			errs[wg] = err
 			return
 		}
-		shard := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 		// Workgroups run concurrently, so instruction indices are local to
 		// each workgroup; a probe attached here must be safe for concurrent
 		// use (obs.Timeline is) and orders events by timestamp at export.
-		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], &spec, wg, shard, nil, probe, 0)
-		shard.Release()
-		shards[wg] = shard
+		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], &spec, wg, shards[worker], nil, probe, 0)
+		shards[worker].Release()
 	})
 	g.Mem.Mem.SetShared(false)
 
@@ -201,7 +203,9 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 			return nil, errs[wg]
 		}
 		totalSteps += stepCounts[wg]
-		run.Merge(shards[wg])
+	}
+	for _, shard := range shards {
+		run.Merge(shard)
 	}
 	if probe != nil {
 		probe.LaunchEnd(totalSteps)

@@ -73,7 +73,7 @@ type Config struct {
 	// RunFunctional shards a launch's workgroups across this many
 	// goroutines. Values below 1 select runtime.GOMAXPROCS(0); 1 forces
 	// serial execution. Parallel runs produce statistics bit-identical to
-	// serial ones (shards merge in fixed workgroup order). The timed
+	// serial ones (shard fields are order-free integer sums). The timed
 	// cycle-level Run is inherently serial — workgroups contend for EUs
 	// and memory cycle by cycle — and ignores this knob; sweeps
 	// parallelize across whole timed runs instead (internal/experiments).
@@ -484,8 +484,8 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 			}
 			if !imminent {
 				// memory.NoEvent and eu.NoWakeup are the same sentinel, so a
-			// no-event answer can never pass the improvement test.
-			if at := g.Mem.NextEvent(cycle); at < best {
+				// no-event answer can never pass the improvement test.
+				if at := g.Mem.NextEvent(cycle); at < best {
 					if at <= cycle+1 {
 						imminent = true
 					} else {
@@ -548,5 +548,6 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 	}
 	run.Mem = g.Mem.Stats
 	run.L3HitRate = g.Mem.L3.HitRate()
+	run.Flush()
 	return run, nil
 }

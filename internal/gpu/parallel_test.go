@@ -1,12 +1,16 @@
 package gpu
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/kbuild"
+	"intrawarp/internal/stats"
 )
 
 // atomicDivergentKernel builds a kernel exercising everything the
@@ -133,6 +137,49 @@ func TestTimedRunIgnoresWorkers(t *testing.T) {
 			ref = r.TotalCycles
 		} else if r.TotalCycles != ref {
 			t.Fatalf("timed run changed with Workers: %d vs %d cycles", r.TotalCycles, ref)
+		}
+	}
+}
+
+// TestReturnedRunsFlushed pins that the timed engine and both paths of
+// the functional engine hand back runs with nothing left to cost: one
+// more Flush leaves the marshaled run unchanged.
+func TestReturnedRunsFlushed(t *testing.T) {
+	k := atomicDivergentKernel(t)
+	const n = 512
+	for _, tc := range []struct {
+		name    string
+		workers int
+		timed   bool
+	}{
+		{"timed", 1, true},
+		{"functional serial", 1, false},
+		{"functional parallel", 2, false},
+	} {
+		g := New(DefaultConfig().WithPolicy(compaction.SCC).WithWorkers(tc.workers))
+		data := make([]uint32, n)
+		for i := range data {
+			data[i] = uint32(i%97 + 1)
+		}
+		spec := LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32, Args: []uint32{
+			g.AllocU32(n, data), g.AllocU32(n, nil), g.AllocU32(1, nil)}}
+		var run *stats.Run
+		var err error
+		if tc.timed {
+			run, err = g.RunCtx(context.Background(), spec)
+		} else {
+			run, err = g.RunFunctionalCtx(context.Background(), spec, nil)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if run.Instructions == 0 {
+			t.Fatalf("%s: no instructions accounted", tc.name)
+		}
+		before, _ := json.Marshal(run)
+		run.Flush()
+		if after, _ := json.Marshal(run); !bytes.Equal(before, after) {
+			t.Fatalf("%s: run returned with pending signatures:\n%s\n%s", tc.name, before, after)
 		}
 	}
 }

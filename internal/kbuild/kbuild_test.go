@@ -225,10 +225,10 @@ func TestMismatchedBlockClosers(t *testing.T) {
 // loop, including BreakAll and the case where only an IF is open.
 func TestBreakContRequireLoop(t *testing.T) {
 	for name, emit := range map[string]func(b *Builder){
-		"Break":        func(b *Builder) { b.Break(isa.F0) },
-		"BreakAll":     func(b *Builder) { b.BreakAll() },
-		"Cont":         func(b *Builder) { b.Cont(isa.F0) },
-		"Break-in-if":  func(b *Builder) { b.If(isa.F0); b.Break(isa.F0); b.EndIf() },
+		"Break":          func(b *Builder) { b.Break(isa.F0) },
+		"BreakAll":       func(b *Builder) { b.BreakAll() },
+		"Cont":           func(b *Builder) { b.Cont(isa.F0) },
+		"Break-in-if":    func(b *Builder) { b.If(isa.F0); b.Break(isa.F0); b.EndIf() },
 		"BreakAll-in-if": func(b *Builder) { b.If(isa.F0); b.BreakAll(); b.EndIf() },
 	} {
 		b := New("t", isa.SIMD16)

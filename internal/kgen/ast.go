@@ -23,18 +23,18 @@ package kgen
 type stmtKind uint8
 
 const (
-	stALU stmtKind = iota // v[dst] = op(a, b[, c])
-	stSel                 // if cmp(cond, a, b) { v[dst] = c }
-	stGather              // v[dst] = in[addr & (InWords-1)]
-	stScatter             // scratch[slot(gid)] = v[src]
-	stAtomic              // acc[hash(gid,salt) & (accWords-1)] += v[src]
-	stSLM                 // v[dst] = v[src] of the lane rot places around the workgroup
-	stBarrier             // workgroup barrier (top level only)
-	stIf                  // lane-class conditional
-	stLoop                // do-while with per-lane trip skew
-	stBreak               // direct loop-body child: data-dependent exit
-	stCont                // direct leaf-loop-body child: skip rest of body
-	stDeadEM              // dead extended-math op (pipe traffic, no dataflow)
+	stALU     stmtKind = iota // v[dst] = op(a, b[, c])
+	stSel                     // if cmp(cond, a, b) { v[dst] = c }
+	stGather                  // v[dst] = in[addr & (InWords-1)]
+	stScatter                 // scratch[slot(gid)] = v[src]
+	stAtomic                  // acc[hash(gid,salt) & (accWords-1)] += v[src]
+	stSLM                     // v[dst] = v[src] of the lane rot places around the workgroup
+	stBarrier                 // workgroup barrier (top level only)
+	stIf                      // lane-class conditional
+	stLoop                    // do-while with per-lane trip skew
+	stBreak                   // direct loop-body child: data-dependent exit
+	stCont                    // direct leaf-loop-body child: skip rest of body
+	stDeadEM                  // dead extended-math op (pipe traffic, no dataflow)
 )
 
 // aluOp enumerates the exact wraparound u32 operations the evaluator
@@ -70,25 +70,25 @@ type operand struct {
 }
 
 type stmt struct {
-	kind    stmtKind
-	op      aluOp
-	dst     uint8 // state index
-	src     uint8 // state index (scatter/atomic/slm/break/cont/dead-em source)
-	a, b, c operand
-	cond    uint8  // isa.CondMod value for stSel
-	salt    uint32 // hash salt (conditions, addresses, slots)
-	thresh  uint8  // 0..255 comparison threshold for hashed conditions
-	gran    uint8  // log2 lane-class granularity (stIf)
-	stride  uint32 // gather stride (words)
-	offset  uint32 // gather offset (words)
-	indirect bool  // gather: data-dependent address
-	rot     uint8  // stSLM rotation distance
-	emOp    uint8  // stDeadEM operation selector
-	trips   uint8  // stLoop base trip count
-	skew    uint8  // stLoop per-lane trip skew mask
-	then    []stmt
-	els     []stmt
-	body    []stmt
+	kind     stmtKind
+	op       aluOp
+	dst      uint8 // state index
+	src      uint8 // state index (scatter/atomic/slm/break/cont/dead-em source)
+	a, b, c  operand
+	cond     uint8  // isa.CondMod value for stSel
+	salt     uint32 // hash salt (conditions, addresses, slots)
+	thresh   uint8  // 0..255 comparison threshold for hashed conditions
+	gran     uint8  // log2 lane-class granularity (stIf)
+	stride   uint32 // gather stride (words)
+	offset   uint32 // gather offset (words)
+	indirect bool   // gather: data-dependent address
+	rot      uint8  // stSLM rotation distance
+	emOp     uint8  // stDeadEM operation selector
+	trips    uint8  // stLoop base trip count
+	skew     uint8  // stLoop per-lane trip skew mask
+	then     []stmt
+	els      []stmt
+	body     []stmt
 }
 
 // program is one generated kernel body plus the derived facts the
@@ -120,7 +120,7 @@ type gen struct {
 // splitmix64 stream seeded from p.Seed.
 func buildAST(p Params) *program {
 	g := &gen{r: newRNG(p.Seed), p: p, budget: int(p.Stmts)}
-	g.out = &program{p: p, odd: g.r.u32()|1}
+	g.out = &program{p: p, odd: g.r.u32() | 1}
 	g.out.stmts = g.genBlock(0, 0, true)
 	// Every kernel folds its state into out[gid] at the end (emitted by
 	// the lowering), so even an all-control kernel is checkable.

@@ -221,8 +221,8 @@ func Derive(profile string, seed uint64, index int) (Params, error) {
 		TripBase:   uint8(2 + r.n(4)),
 		TripSkew:   []uint8{0, 1, 3, 7}[r.n(4)],
 		BreakRate:  40, ContRate: 30,
-		MemRate:   35,
-		StrideMax: uint8(r.n(5)),
+		MemRate:      35,
+		StrideMax:    uint8(r.n(5)),
 		IndirectRate: 35, SLMRate: 15, AtomicRate: 25, EMRate: 15,
 		InWords: []uint16{256, 1024, 1024, 4096}[r.n(4)],
 	}
@@ -286,23 +286,23 @@ func FromBytes(data []byte) Params {
 		seed = seed<<8 | uint64(at(i, 0x5A))
 	}
 	p := Params{
-		Seed:     seed,
-		Width:    at(8, 16),
-		TPG:      at(9, 2),
-		Groups:   at(10, 2),
-		States:   at(11, 4),
-		Stmts:    at(12, 10),
-		MaxDepth: at(13, 2),
-		IfRate:   at(14, 50),
-		LoopRate: at(15, 50),
-		BranchBias: at(16, 50),
-		GranLog2:   at(17, 1),
-		TripBase:   at(18, 3),
-		TripSkew:   at(19, 3),
-		BreakRate:  at(20, 40),
-		ContRate:   at(21, 30),
-		MemRate:    at(22, 40),
-		StrideMax:  at(23, 2),
+		Seed:         seed,
+		Width:        at(8, 16),
+		TPG:          at(9, 2),
+		Groups:       at(10, 2),
+		States:       at(11, 4),
+		Stmts:        at(12, 10),
+		MaxDepth:     at(13, 2),
+		IfRate:       at(14, 50),
+		LoopRate:     at(15, 50),
+		BranchBias:   at(16, 50),
+		GranLog2:     at(17, 1),
+		TripBase:     at(18, 3),
+		TripSkew:     at(19, 3),
+		BreakRate:    at(20, 40),
+		ContRate:     at(21, 30),
+		MemRate:      at(22, 40),
+		StrideMax:    at(23, 2),
 		IndirectRate: at(24, 30),
 		SLMRate:      at(25, 20),
 		AtomicRate:   at(26, 25),

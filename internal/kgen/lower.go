@@ -16,16 +16,16 @@ import (
 // other comparison — IF classes, SEL, BREAK/CONT — latches F1
 // immediately before its single consumer.
 type lowerer struct {
-	b    *kbuild.Builder
-	p    Params
-	pr   *program
-	v    []isa.Operand // state vars
-	ctr  []isa.Operand // loop counters by nesting level
-	trip []isa.Operand // per-lane trip counts by nesting level
-	lid  isa.Operand   // local id within the workgroup (SLM kernels)
-	deadU isa.Operand  // atomic return sink
-	deadA isa.Operand  // extended-math operand (f32)
-	deadB isa.Operand  // extended-math result sink (f32)
+	b     *kbuild.Builder
+	p     Params
+	pr    *program
+	v     []isa.Operand // state vars
+	ctr   []isa.Operand // loop counters by nesting level
+	trip  []isa.Operand // per-lane trip counts by nesting level
+	lid   isa.Operand   // local id within the workgroup (SLM kernels)
+	deadU isa.Operand   // atomic return sink
+	deadA isa.Operand   // extended-math operand (f32)
+	deadB isa.Operand   // extended-math result sink (f32)
 }
 
 // stateSalt derives the init hash salt of state var i from the kernel

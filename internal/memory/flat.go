@@ -76,47 +76,55 @@ func (f *Flat) check(addr uint32, n int) {
 // after they join; the goroutine fork and join order the flag itself).
 func (f *Flat) SetShared(on bool) { f.shared = on }
 
+// stripes names the lock stripes one shared-mode access holds: first
+// through last, wrapping past the last stripe when first > last. The zero
+// value (f == nil) holds nothing. It is a plain value, so taking and
+// releasing a span allocates nothing.
+type stripes struct {
+	f           *Flat
+	first, last int
+}
+
 // lockRange takes the lock stripes covering [addr, addr+n) in ascending
-// order and returns the matching unlock. In single-owner mode it is free.
-func (f *Flat) lockRange(addr uint32, n int) func() {
-	if !f.shared {
-		return nil
+// stripe order, so concurrent range accesses cannot deadlock, and returns
+// them for unlock. In single-owner mode, or for an empty range, it is
+// free and holds nothing.
+func (f *Flat) lockRange(addr uint32, n int) stripes {
+	if !f.shared || n <= 0 {
+		return stripes{}
 	}
 	lo := int(addr / LineBytes)
 	hi := int((addr + uint32(n) - 1) / LineBytes)
+	s := stripes{f: f, first: lo % flatStripes, last: hi % flatStripes}
 	if hi-lo >= flatStripes { // huge block access: take every stripe
-		lo, hi = 0, flatStripes-1
+		s.first, s.last = 0, flatStripes-1
 	}
-	first := lo % flatStripes
-	if hi == lo { // common case: one line, one stripe
-		f.locks[first].Lock()
-		return f.locks[first].Unlock
-	}
-	// Multi-line access: lock each covered stripe once, ascending by
-	// stripe index so concurrent range accesses cannot deadlock.
-	var held [flatStripes]bool
-	for s := lo; s <= hi; s++ {
-		held[s%flatStripes] = true
-	}
-	for s := 0; s < flatStripes; s++ {
-		if held[s] {
-			f.locks[s].Lock()
+	s.each((*sync.Mutex).Lock)
+	return s
+}
+
+// unlock releases every stripe of the span.
+func (s stripes) unlock() { s.each((*sync.Mutex).Unlock) }
+
+// each applies op to the span's stripes in ascending stripe order.
+func (s stripes) each(op func(*sync.Mutex)) {
+	first, last := s.first, s.last
+	if first > last { // wraps: stripes 0..last, then first..the end
+		for i := 0; i <= last; i++ {
+			op(&s.f.locks[i])
 		}
+		last = flatStripes - 1
 	}
-	return func() {
-		for s := 0; s < flatStripes; s++ {
-			if held[s] {
-				f.locks[s].Unlock()
-			}
-		}
+	for i := first; i <= last; i++ {
+		op(&s.f.locks[i])
 	}
 }
 
 // ReadU32 reads a 32-bit word.
 func (f *Flat) ReadU32(addr uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, 4); held.f != nil {
+		defer held.unlock()
 	}
 	return binary.LittleEndian.Uint32(f.data[addr:])
 }
@@ -124,8 +132,8 @@ func (f *Flat) ReadU32(addr uint32) uint32 {
 // WriteU32 writes a 32-bit word.
 func (f *Flat) WriteU32(addr uint32, v uint32) {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, 4); held.f != nil {
+		defer held.unlock()
 	}
 	binary.LittleEndian.PutUint32(f.data[addr:], v)
 }
@@ -135,8 +143,8 @@ func (f *Flat) WriteU32(addr uint32, v uint32) {
 // line's lock stripe makes the read-modify-write indivisible.
 func (f *Flat) AtomicAdd(addr uint32, v uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, 4); held.f != nil {
+		defer held.unlock()
 	}
 	old := binary.LittleEndian.Uint32(f.data[addr:])
 	binary.LittleEndian.PutUint32(f.data[addr:], old+v)
@@ -147,8 +155,8 @@ func (f *Flat) AtomicAdd(addr uint32, v uint32) uint32 {
 // value.
 func (f *Flat) AtomicMin(addr uint32, v uint32) uint32 {
 	f.check(addr, 4)
-	if unlock := f.lockRange(addr, 4); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, 4); held.f != nil {
+		defer held.unlock()
 	}
 	old := binary.LittleEndian.Uint32(f.data[addr:])
 	if v < old {
@@ -160,8 +168,8 @@ func (f *Flat) AtomicMin(addr uint32, v uint32) uint32 {
 // WriteBytes copies src to memory at addr.
 func (f *Flat) WriteBytes(addr uint32, src []byte) {
 	f.check(addr, len(src))
-	if unlock := f.lockRange(addr, len(src)); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, len(src)); held.f != nil {
+		defer held.unlock()
 	}
 	copy(f.data[addr:], src)
 }
@@ -169,8 +177,8 @@ func (f *Flat) WriteBytes(addr uint32, src []byte) {
 // ReadBytes copies memory at addr into dst.
 func (f *Flat) ReadBytes(addr uint32, dst []byte) {
 	f.check(addr, len(dst))
-	if unlock := f.lockRange(addr, len(dst)); unlock != nil {
-		defer unlock()
+	if held := f.lockRange(addr, len(dst)); held.f != nil {
+		defer held.unlock()
 	}
 	copy(dst, f.data[addr:])
 }

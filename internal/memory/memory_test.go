@@ -59,6 +59,50 @@ func TestFlatAtomics(t *testing.T) {
 	}
 }
 
+// TestFlatSharedAccessZeroAlloc pins shared mode's lock span as a plain
+// value: every word access and atomic, and a multi-line byte range that
+// wraps past the last lock stripe, allocate nothing — and every stripe is
+// free again afterwards, including after a range covering all of them.
+// An empty range takes no stripe.
+func TestFlatSharedAccessZeroAlloc(t *testing.T) {
+	f := NewFlat(64)
+	f.Alloc(2 * flatStripes * LineBytes)
+	f.SetShared(true)
+	defer f.SetShared(false)
+
+	const word = 5 * LineBytes
+	// Lines flatStripes-1 .. flatStripes+1 take stripes 255, 0 and 1.
+	wrap := uint32((flatStripes - 1) * LineBytes)
+	buf := make([]byte, 3*LineBytes)
+	huge := make([]byte, (flatStripes+1)*LineBytes)
+	var sink uint32
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"ReadU32", func() { sink += f.ReadU32(word) }},
+		{"WriteU32", func() { f.WriteU32(word, sink) }},
+		{"AtomicAdd", func() { sink += f.AtomicAdd(word, 1) }},
+		{"AtomicMin", func() { sink += f.AtomicMin(word, 7) }},
+		{"WriteBytes", func() { f.WriteBytes(wrap, buf) }},
+		{"ReadBytes", func() { f.ReadBytes(wrap, buf) }},
+		{"ReadBytes/every stripe", func() { f.ReadBytes(LineBytes, huge) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
+			t.Errorf("shared-mode %s allocates %.1f times per call, want 0", tc.name, allocs)
+		}
+	}
+	if held := f.lockRange(LineBytes, 0); held.f != nil {
+		t.Fatalf("an empty range took stripes %d..%d", held.first, held.last)
+	}
+	for i := range f.locks {
+		if !f.locks[i].TryLock() {
+			t.Fatalf("stripe %d still held after the accesses returned", i)
+		}
+		f.locks[i].Unlock()
+	}
+}
+
 func TestFlatBadAccessPanics(t *testing.T) {
 	f := NewFlat(128)
 	defer func() {

@@ -21,11 +21,11 @@ func EngineCost(p compaction.Policy, m mask.Mask, width, group int) int {
 // Violation is one broken per-instruction invariant: which rule, on
 // which (mask, width, group) signature, with an engine-vs-oracle detail.
 type Violation struct {
-	Index int    // record index in the stream (-1 when synthetic)
-	Rule  string // stable rule identifier, e.g. "cost/scc-exact"
-	Mask  uint32
-	Width int
-	Group int
+	Index  int    // record index in the stream (-1 when synthetic)
+	Rule   string // stable rule identifier, e.g. "cost/scc-exact"
+	Mask   uint32
+	Width  int
+	Group  int
 	Detail string
 }
 

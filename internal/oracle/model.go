@@ -26,13 +26,13 @@ package oracle
 // order; TestModelIndependence's companion checks in oracle_test.go pin
 // the correspondence.
 const (
-	Baseline = 0
-	IvyBridge = 1
-	BCC = 2
-	SCC = 3
-	Melding = 4
-	Resize = 5
-	ITS = 6
+	Baseline    = 0
+	IvyBridge   = 1
+	BCC         = 2
+	SCC         = 3
+	Melding     = 4
+	Resize      = 5
+	ITS         = 6
 	NumPolicies = 7
 )
 

@@ -126,8 +126,8 @@ func (r ExperimentRequest) key() string {
 // NDJSON with one /v1/run response object per cell. Cells that share a
 // (workload, width, size, memory-config) group are evaluated
 // trace-once, cost-many: one functional execution captures the group's
-// execution-mask trace and every policy cell is a bit-parallel replay
-// of it (internal/trace), so a full-policy sweep costs one execution per
+// execution-mask trace and every policy cell is a replay of it
+// (internal/trace), so a full-policy sweep costs one execution per
 // group, not four.
 type SweepRequest struct {
 	// Workloads is the workload axis; at least one name is required.

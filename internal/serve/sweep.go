@@ -301,8 +301,8 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 }
 
 // executeSweepGroup is the group flight's body: one trace-capturing
-// functional execution under a run slot, then one bit-parallel replay
-// per policy, every cell encoded exactly as /v1/run encodes it and
+// functional execution under a run slot, then one trace replay per
+// policy, every cell encoded exactly as /v1/run encodes it and
 // published to the shared result cache. Unlike admitted() there is no
 // queue-depth shedding — the sweep endpoint bounds its own concurrency —
 // but slot contention, in-flight accounting, and stage attribution are

@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"intrawarp/internal/compaction"
 	"intrawarp/internal/mask"
 )
 
@@ -57,6 +60,7 @@ func TestMergeShardsEqualsUnsharded(t *testing.T) {
 
 		whole := NewRun("whole", 16)
 		record(whole, stream, rand.New(rand.NewSource(7)))
+		whole.Flush()
 
 		// The window-kind sequence must match between the two runs, so
 		// re-derive it shard by shard from the same seed.
@@ -107,5 +111,86 @@ func TestMergeShardsEqualsUnsharded(t *testing.T) {
 				t.Fatalf("shards=%d width %d: totals %d != %d", shards, w, h.Total(), mh.Total())
 			}
 		}
+	}
+}
+
+// costed accumulates a stream by costing every instruction on the spot:
+// the totals the signature table's deferred costing must reproduce.
+func costed(stream []synthInstr) *Run {
+	r := NewRun("ref", 16)
+	for _, in := range stream {
+		m := in.m.Trunc(in.width)
+		pop := int64(m.PopCount())
+		r.Instructions++
+		r.ActiveLanes += pop
+		r.TotalLanes += int64(in.width)
+		h := r.Hist[in.width]
+		if h == nil {
+			h = &WidthHist{Width: in.width}
+			r.Hist[in.width] = h
+		}
+		if pop == 0 {
+			h.Empty++
+		} else {
+			h.Buckets[(pop*Quartiles-1)/int64(in.width)]++
+		}
+		for p, c := range compaction.CostAll(m, in.width, in.group) {
+			r.PolicyCycles[p] += int64(c)
+		}
+	}
+	return r
+}
+
+// TestPendingTableBounded records more distinct SIMD32 signatures than
+// MaxPending: the table never holds more than the bound, and the
+// self-flushes it forces lose and double-count nothing.
+func TestPendingTableBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	stream := make([]synthInstr, 3*MaxPending+123)
+	for i := range stream {
+		stream[i] = synthInstr{width: 32, group: 4, m: mask.Mask(rng.Uint32())}
+		if i%5 == 0 { // repeats too, not only fresh signatures
+			stream[i] = stream[rng.Intn(i+1)]
+		}
+	}
+	r := NewRun("ref", 16)
+	for i, in := range stream {
+		r.RecordInstr(in.width, in.group, in.m)
+		if len(r.pending) > MaxPending {
+			t.Fatalf("record %d: %d pending signatures, bound %d", i, len(r.pending), MaxPending)
+		}
+	}
+	r.Flush()
+	if want := costed(stream); !r.MaskCountsEqual(want) {
+		t.Fatalf("bounded accounting diverges:\ngot:\n%s\nwant:\n%s", r.Summary(), want.Summary())
+	}
+}
+
+// TestFlushIdempotent checks that a second Flush changes nothing, and
+// that Merge flushes its argument: merging an unflushed shard equals
+// merging the same shard flushed.
+func TestFlushIdempotent(t *testing.T) {
+	stream := synthStream(3000, 9)
+	r := NewRun("r", 16)
+	record(r, stream, rand.New(rand.NewSource(1)))
+	r.Flush()
+	once, _ := json.Marshal(r)
+	r.Flush()
+	if twice, _ := json.Marshal(r); !bytes.Equal(once, twice) {
+		t.Fatalf("second Flush changed the run:\n%s\n%s", once, twice)
+	}
+	if want := costed(stream); !r.MaskCountsEqual(want) {
+		t.Fatalf("flushed accounting diverges:\ngot:\n%s\nwant:\n%s", r.Summary(), want.Summary())
+	}
+
+	unflushed, flushed := NewRun("s", 16), NewRun("s", 16)
+	record(unflushed, stream, rand.New(rand.NewSource(1)))
+	record(flushed, stream, rand.New(rand.NewSource(1)))
+	flushed.Flush()
+	a, b := NewRun("m", 16), NewRun("m", 16)
+	a.Merge(unflushed)
+	b.Merge(flushed)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("Merge of an unflushed run differs from Merge of it flushed:\n%s\n%s", a.Summary(), b.Summary())
 	}
 }

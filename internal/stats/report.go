@@ -68,11 +68,11 @@ type TimedReport struct {
 // Report builds the serializable snapshot.
 func (r *Run) Report() *Report {
 	rep := &Report{
-		Kernel:       r.Name,
-		SIMDWidth:    r.Width,
-		Instructions: r.Instructions,
-		Efficiency:   r.SIMDEfficiency(),
-		Divergent:    r.Divergent(),
+		Kernel:        r.Name,
+		SIMDWidth:     r.Width,
+		Instructions:  r.Instructions,
+		Efficiency:    r.SIMDEfficiency(),
+		Divergent:     r.Divergent(),
 		BCCReduction:  r.EUCycleReduction(compaction.BCC),
 		SCCReduction:  r.EUCycleReduction(compaction.SCC),
 		MeldReduction: r.EUCycleReduction(compaction.Melding),

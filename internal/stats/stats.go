@@ -86,6 +86,10 @@ type Run struct {
 	// StallKind.
 	Windows [NumStallKinds]int64
 
+	// pending counts recorded instructions by signature (width, group,
+	// truncated mask) until Flush costs each distinct one.
+	pending map[uint64]int64
+
 	// guard asserts single-writer ownership of the accumulator when the
 	// `statsguard` build tag is set; it compiles to nothing otherwise.
 	// Shards of a parallel run are each owned by exactly one goroutine
@@ -160,76 +164,76 @@ func NewRun(name string, width int) *Run {
 	return &Run{Name: name, Width: width, Hist: make(map[int]*WidthHist)}
 }
 
+// MaxPending is the number of distinct signatures a Run counts before it
+// costs them. No captured workload trace comes near it (the largest
+// launch group has under 2,000), so an engine run is costed once, at
+// Flush; a trace of arbitrary SIMD32 masks still accumulates in bounded
+// memory.
+const MaxPending = 1 << 12
+
 // RecordInstr accounts one executed instruction with the given width,
-// element group size, and final execution mask. It updates efficiency
-// counters, the utilization histogram, and the per-policy cycle totals.
+// element group size, and final execution mask. It only counts the
+// instruction's signature; Flush derives the efficiency counters, the
+// utilization histogram, and the per-policy cycle totals from the counts.
 func (r *Run) RecordInstr(width, group int, m mask.Mask) {
 	r.guard.assertOwner()
-	m = m.Trunc(width)
-	r.Instructions++
-	pop := m.PopCount()
-	r.ActiveLanes += int64(pop)
-	r.TotalLanes += int64(width)
-
-	h := r.Hist[width]
-	if h == nil {
-		h = &WidthHist{Width: width}
-		r.Hist[width] = h
+	if r.pending == nil {
+		r.pending = make(map[uint64]int64)
 	}
-	if pop == 0 {
-		h.Empty++
-	} else {
-		q := (pop*Quartiles - 1) / width // 0..3
-		if q >= Quartiles {
-			q = Quartiles - 1
-		}
-		h.Buckets[q]++
-	}
-
-	costs := compaction.CostAll(m, width, group)
-	for p := 0; p < compaction.NumPolicies; p++ {
-		r.PolicyCycles[p] += int64(costs[p])
+	r.pending[uint64(uint16(width))<<48|uint64(uint16(group))<<32|uint64(m.Trunc(width))]++
+	if len(r.pending) >= MaxPending {
+		// Keep the grown table: a stream this varied is likely to refill it.
+		r.cost()
+		clear(r.pending)
 	}
 }
 
-// MaskBatch is a pre-aggregated block of instruction accounting for one
-// SIMD width: the per-policy cycle totals, lane counts, and histogram
-// deltas of a homogeneous record segment, computed externally by the
-// trace replay's bit-parallel kernels (internal/trace). BulkRecord folds
-// it into a Run in one step.
-type MaskBatch struct {
-	Instructions int64
-	ActiveLanes  int64
-	PolicyCycles [compaction.NumPolicies]int64
-	Buckets      [Quartiles]int64
-	Empty        int64
-}
-
-// BulkRecord accounts a batch of executed instructions of one SIMD
-// width. It is arithmetically identical to calling RecordInstr once per
-// instruction of the batch (a property-tested invariant of the trace
-// replay engine), but lets callers that can compute the aggregates with
-// word-parallel kernels skip the per-record bookkeeping.
-func (r *Run) BulkRecord(width int, b *MaskBatch) {
+// Flush costs every pending signature once and adds its count times the
+// result into Instructions, ActiveLanes, TotalLanes, Hist and
+// PolicyCycles, then drops the signature table. Every function that
+// hands a Run to its caller flushes it first; Flush on a run with
+// nothing pending does nothing.
+func (r *Run) Flush() {
+	if r.pending == nil {
+		return
+	}
 	r.guard.assertOwner()
-	r.Instructions += b.Instructions
-	r.ActiveLanes += b.ActiveLanes
-	r.TotalLanes += int64(width) * b.Instructions
-	for p := range r.PolicyCycles {
-		r.PolicyCycles[p] += b.PolicyCycles[p]
-	}
-	h := r.Hist[width]
-	if h == nil {
-		h = &WidthHist{Width: width}
-		r.Hist[width] = h
-	}
-	h.Empty += b.Empty
-	for i := range b.Buckets {
-		h.Buckets[i] += b.Buckets[i]
+	r.cost()
+	r.pending = nil
+}
+
+// cost folds the pending signature counts into the exported counters.
+func (r *Run) cost() {
+	for sig, n := range r.pending {
+		width, group, m := int(sig>>48), int(uint16(sig>>32)), mask.Mask(sig)
+		pop := m.PopCount()
+		r.Instructions += n
+		r.ActiveLanes += n * int64(pop)
+		r.TotalLanes += n * int64(width)
+
+		h := r.Hist[width]
+		if h == nil {
+			h = &WidthHist{Width: width}
+			r.Hist[width] = h
+		}
+		if pop == 0 {
+			h.Empty += n
+		} else {
+			q := (pop*Quartiles - 1) / width // 0..3
+			if q >= Quartiles {
+				q = Quartiles - 1
+			}
+			h.Buckets[q] += n
+		}
+
+		costs := compaction.CostAll(m, width, group)
+		for p := range r.PolicyCycles {
+			r.PolicyCycles[p] += n * int64(costs[p])
+		}
 	}
 }
 
-// MaskCountsEqual reports whether two runs accumulated identical
+// MaskCountsEqual reports whether two flushed runs accumulated identical
 // mask-derived statistics: instruction and lane counts, every policy's
 // cycle total, and the full utilization histogram. This is the
 // equivalence the trace-replay sweep engine asserts between a replayed
@@ -304,16 +308,17 @@ func (r *Run) DCDemand() float64 {
 	return float64(r.Mem.LinesRequested) / float64(r.TotalCycles)
 }
 
-// Merge adds every additive counter of other into r — instruction-level
-// counters, energy proxies, stall windows, and the timed-run totals
-// (TotalCycles, EUBusy). It is the reduction step of the parallel engine:
-// per-workgroup shards are merged in ascending workgroup order, and
-// because every field is an integer sum the result is bit-identical to a
-// serial accumulation regardless of how workgroups were scheduled.
-// Non-additive fields (Name, Width, TimedPolicy, Mem, L3HitRate) are left
-// untouched; callers set them on the destination.
+// Merge flushes other and adds every additive counter of it into r —
+// instruction-level counters, energy proxies, stall windows, and the
+// timed-run totals (TotalCycles, EUBusy). It is the reduction step of
+// the parallel engine: because every field is an integer sum, merging
+// per-worker shards in any order is bit-identical to a serial
+// accumulation regardless of how workgroups were scheduled. Non-additive
+// fields (Name, Width, TimedPolicy, Mem, L3HitRate) are left untouched;
+// callers set them on the destination.
 func (r *Run) Merge(other *Run) {
 	r.guard.assertOwner()
+	other.Flush()
 	r.Instructions += other.Instructions
 	r.ActiveLanes += other.ActiveLanes
 	r.TotalLanes += other.TotalLanes

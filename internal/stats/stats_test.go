@@ -12,6 +12,7 @@ func TestRecordInstrEfficiency(t *testing.T) {
 	r := NewRun("t", 16)
 	r.RecordInstr(16, 4, 0xFFFF)
 	r.RecordInstr(16, 4, 0x00FF)
+	r.Flush()
 	if r.Instructions != 2 {
 		t.Fatalf("instructions = %d", r.Instructions)
 	}
@@ -25,6 +26,7 @@ func TestRecordInstrEfficiency(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r2.RecordInstr(16, 4, 0xFFFF)
 	}
+	r2.Flush()
 	if r2.Divergent() {
 		t.Fatal("fully coherent run classified divergent")
 	}
@@ -38,6 +40,7 @@ func TestRecordInstrHistogram(t *testing.T) {
 	r.RecordInstr(16, 4, 0xFFFF) // 16      -> bucket 3 (13-16)
 	r.RecordInstr(16, 4, 0x0000) // empty
 	r.RecordInstr(8, 4, 0x0F)    // SIMD8, 4 lanes -> bucket 1 (3-4)
+	r.Flush()
 
 	h16 := r.Hist[16]
 	if h16 == nil || h16.Buckets != [4]int64{1, 1, 1, 1} || h16.Empty != 1 {
@@ -56,6 +59,7 @@ func TestPolicyCyclesAccumulation(t *testing.T) {
 	r := NewRun("t", 16)
 	r.RecordInstr(16, 4, 0xAAAA)
 	r.RecordInstr(16, 4, 0x000F)
+	r.Flush()
 	// baseline: 4+4; ivb: 4+2; bcc: 4+1; scc: 2+1; meld: 2+1;
 	// resize: 4+2; its: 4+4.
 	want := [compaction.NumPolicies]int64{8, 6, 5, 3, 3, 6, 8}
@@ -100,6 +104,7 @@ func TestMerge(t *testing.T) {
 	b.Barriers = 2
 
 	a.Merge(b)
+	a.Flush()
 	if a.Instructions != 3 {
 		t.Fatalf("merged instructions = %d", a.Instructions)
 	}
@@ -124,6 +129,7 @@ func TestMerge(t *testing.T) {
 func TestSummaryRendering(t *testing.T) {
 	r := NewRun("bfs", 16)
 	r.RecordInstr(16, 4, 0x00FF)
+	r.Flush()
 	r.RecordSend(4)
 	r.TotalCycles = 1000
 	r.TimedPolicy = compaction.BCC
@@ -138,6 +144,7 @@ func TestSummaryRendering(t *testing.T) {
 func TestReportJSON(t *testing.T) {
 	r := NewRun("bfs", 16)
 	r.RecordInstr(16, 4, 0x00FF)
+	r.Flush()
 	r.RecordSend(4)
 	r.TotalCycles = 500
 	r.EUBusy = 200
@@ -183,7 +190,8 @@ func TestEnergyProxy(t *testing.T) {
 }
 
 // BenchmarkRecordInstr measures the per-instruction statistics hot path
-// (called once per functionally executed instruction).
+// (called once per functionally executed instruction) together with the
+// Flush that costs what it counted, so ns/op is counting plus costing.
 func BenchmarkRecordInstr(b *testing.B) {
 	r := NewRun("bench", 16)
 	b.ReportAllocs()
@@ -191,4 +199,5 @@ func BenchmarkRecordInstr(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.RecordInstr(16, 4, mask.Mask(uint32(i)))
 	}
+	r.Flush()
 }

@@ -1,274 +1,27 @@
 package trace
 
 import (
-	"math/bits"
-	"sync"
-
-	"intrawarp/internal/compaction"
-	"intrawarp/internal/mask"
 	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
 )
 
-// The trace-replay cost kernels: the sweep engine's "cost-many" half.
-//
-// A policy sweep needs each workload's per-policy EU-cycle accounting,
-// and the execution-mask trace that accounting derives from is
-// policy-invariant — so the trace is captured once (Collector) and every
-// policy's cost model is evaluated by replaying the mask stream, never
-// by re-executing the kernel. Analyze already does this one record at a
-// time through stats.RecordInstr; Replay is the batch equivalent, built
-// for sweeps that replay the same trace thousands of times:
-//
-//   - Records are processed in homogeneous (width, group) segments, so
-//     the per-record dispatch in compaction.CostAll disappears.
-//   - Active-lane totals come from uint64-word popcounts: four SIMD16
-//     (or eight SIMD8) masks are packed into one word per OnesCount64.
-//   - Per-record policy costs and histogram buckets come from lookup
-//     tables indexed by the raw mask — one table read per record for
-//     the hardware's 32-bit-datatype group size. The tables are built
-//     from compaction.Policy.Cycles itself and cross-checked against
-//     the independent oracle model in replay_test.go, so the LUT path
-//     cannot drift from the schedule-level engine (whose memoized SCC
-//     schedules the verification harness exercises record by record).
-//
-// Replay output is bit-identical to Analyze output by construction and
-// by test (exhaustive SIMD8/SIMD16, randomized mixed-width streams).
-
-// costEntry is one mask's precomputed accounting: per-policy execution
-// cycles and the utilization-histogram bucket index.
-type costEntry struct {
-	ivb, bcc, scc uint8
-	meld, rsz     uint8
-	bucket        uint8 // quartile index, or emptyBucket for an all-zero mask
-}
-
-const emptyBucket = 0xFF
-
-// LUTs for the hardware group size (4 lanes per execution cycle) at the
-// two kernel widths the benchmark suite compiles to. Built lazily: a
-// process that never replays a trace pays nothing.
-var (
-	lut8Once, lut16Once sync.Once
-	lut8                []costEntry // indexed by the 8-bit mask
-	lut16               []costEntry // indexed by the 16-bit mask
-)
-
-func entryFor(m mask.Mask, width int) costEntry {
-	const group = 4
-	e := costEntry{
-		ivb:  uint8(compaction.IvyBridge.Cycles(m, width, group)),
-		bcc:  uint8(compaction.BCC.Cycles(m, width, group)),
-		scc:  uint8(compaction.SCC.Cycles(m, width, group)),
-		meld: uint8(compaction.Melding.Cycles(m, width, group)),
-		rsz:  uint8(compaction.Resize.Cycles(m, width, group)),
-	}
-	pop := m.Trunc(width).PopCount()
-	if pop == 0 {
-		e.bucket = emptyBucket
-	} else {
-		q := (pop*stats.Quartiles - 1) / width
-		if q >= stats.Quartiles {
-			q = stats.Quartiles - 1
-		}
-		e.bucket = uint8(q)
-	}
-	return e
-}
-
-func lutFor(width int) []costEntry {
-	switch width {
-	case 8:
-		lut8Once.Do(func() {
-			lut8 = make([]costEntry, 1<<8)
-			for m := range lut8 {
-				lut8[m] = entryFor(mask.Mask(m), 8)
-			}
-		})
-		return lut8
-	case 16:
-		lut16Once.Do(func() {
-			lut16 = make([]costEntry, 1<<16)
-			for m := range lut16 {
-				lut16[m] = entryFor(mask.Mask(m), 16)
-			}
-		})
-		return lut16
-	}
-	return nil
-}
-
-// Replay evaluates every policy's cost model over a captured record
-// stream, producing the same accounting Analyze produces — bit for bit —
-// through the batch kernels above. This is the sweep engine's hot path:
-// one functional execution captures the trace, then each policy cell is
-// a Replay.
-func Replay(name string, recs []Record) *stats.Run {
-	run := stats.NewRun(name, 0)
-	ReplayInto(run, recs)
-	return run
-}
-
-// ReplayObserved is Replay with launch-level instrumentation: a non-nil
-// probe receives one LaunchBegin (engine "trace-replay", the given
-// policy label and width) and LaunchEnd around the replay. Unlike
-// AnalyzeObserved it deliberately emits no per-record events — the
-// kernels process records in word batches, and a per-record probe call
-// would serialize them — so a timeline shows each replay cell as one
-// span, not an instruction stream.
+// ReplayObserved evaluates every policy's cost model over a captured
+// record stream: the sweep engine's "cost-many" half. The execution-mask
+// trace is policy-invariant, so it is captured once (Collector) and each
+// policy cell is a replay, never a re-execution of the kernel. The
+// accounting is Analyze's, which costs each distinct (width, group, mask)
+// signature of the trace once. A non-nil probe receives one LaunchBegin
+// (engine "trace-replay", the given policy label and width) and LaunchEnd
+// around the replay. Unlike AnalyzeObserved it emits no per-record
+// events, so a timeline shows each replay cell as one span, not an
+// instruction stream.
 func ReplayObserved(name, policy string, width int, recs []Record, probe obs.Probe) *stats.Run {
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{Engine: "trace-replay", Kernel: name, Policy: policy, Width: width})
 	}
-	run := Replay(name, recs)
+	run := Analyze(name, &SliceSource{Records: recs})
 	if probe != nil {
 		probe.LaunchEnd(int64(len(recs)))
 	}
 	return run
-}
-
-// ReplayInto accumulates the replayed accounting of recs into run,
-// raising run.Width to the widest record seen (as Analyze does).
-func ReplayInto(run *stats.Run, recs []Record) {
-	for i := 0; i < len(recs); {
-		w, g := recs[i].Width, recs[i].Group
-		j := i + 1
-		for j < len(recs) && recs[j].Width == w && recs[j].Group == g {
-			j++
-		}
-		width, group := int(w), int(g)
-		if group == 0 {
-			group = 4 // legacy records default to the 32-bit-datatype group
-		}
-		if run.Width < width {
-			run.Width = width
-		}
-		replaySegment(run, recs[i:j], width, group)
-		i = j
-	}
-}
-
-// replaySegment costs one homogeneous (width, group) segment.
-func replaySegment(run *stats.Run, seg []Record, width, group int) {
-	if group != 4 {
-		replayGeneric(run, seg, width, group)
-		return
-	}
-	switch width {
-	case 8, 16:
-		replayLUT(run, seg, width, lutFor(width))
-	case 32:
-		replay32(run, seg)
-	default:
-		replayGeneric(run, seg, width, group)
-	}
-}
-
-// replayLUT handles the SIMD8/SIMD16 group-4 fast path: packed-word
-// popcounts for the lane totals plus one table read per record.
-func replayLUT(run *stats.Run, seg []Record, width int, lut []costEntry) {
-	var b stats.MaskBatch
-	b.Instructions = int64(len(seg))
-	low := mask.Full(width)
-
-	// Lane totals: pack 64/width masks per word, one OnesCount64 each.
-	perWord := 64 / width
-	k := 0
-	for ; k+perWord <= len(seg); k += perWord {
-		var word uint64
-		for i := 0; i < perWord; i++ {
-			word |= uint64(seg[k+i].Mask&low) << (i * width)
-		}
-		b.ActiveLanes += int64(bits.OnesCount64(word))
-	}
-	for ; k < len(seg); k++ {
-		b.ActiveLanes += int64((seg[k].Mask & low).PopCount())
-	}
-
-	// Per-record costs and buckets from the LUT.
-	baseline := int64(mask.QuadCount(width, 4))
-	b.PolicyCycles[compaction.Baseline] = baseline * int64(len(seg))
-	// ITS issues every pass at full width: baseline cost, no table read.
-	b.PolicyCycles[compaction.ITS] = baseline * int64(len(seg))
-	for _, r := range seg {
-		e := lut[r.Mask&low]
-		b.PolicyCycles[compaction.IvyBridge] += int64(e.ivb)
-		b.PolicyCycles[compaction.BCC] += int64(e.bcc)
-		b.PolicyCycles[compaction.SCC] += int64(e.scc)
-		b.PolicyCycles[compaction.Melding] += int64(e.meld)
-		b.PolicyCycles[compaction.Resize] += int64(e.rsz)
-		if e.bucket == emptyBucket {
-			b.Empty++
-		} else {
-			b.Buckets[e.bucket]++
-		}
-	}
-	run.BulkRecord(width, &b)
-}
-
-// replay32 handles SIMD32 at group 4, where a 4 GiB LUT is off the
-// table: per-record popcounts (one instruction each) plus the nibble-LUT
-// active-quad count that already backs mask.ActiveQuads.
-func replay32(run *stats.Run, seg []Record) {
-	const width, group = 32, 4
-	var b stats.MaskBatch
-	b.Instructions = int64(len(seg))
-	baseline := int64(mask.QuadCount(width, group))
-	b.PolicyCycles[compaction.Baseline] = baseline * int64(len(seg))
-	// width == 32 is outside the Ivy Bridge half-off optimization, so the
-	// IVB cost equals baseline — and ITS charges baseline at every width.
-	b.PolicyCycles[compaction.IvyBridge] = baseline * int64(len(seg))
-	b.PolicyCycles[compaction.ITS] = baseline * int64(len(seg))
-	for _, r := range seg {
-		m := r.Mask
-		pop := m.PopCount()
-		b.ActiveLanes += int64(pop)
-		bcc := m.ActiveQuads(width, group)
-		if bcc < 1 {
-			bcc = 1
-		}
-		scc := (pop + group - 1) / group
-		if scc < 1 {
-			scc = 1
-		}
-		// Melding: full quads issue alone, partial quads pair up.
-		fullQ := m.FullQuads(width, group)
-		meld := fullQ + (bcc-fullQ+1)/2
-		if meld < 1 {
-			meld = 1
-		}
-		// Resize at sub-warp width 8: each of the four byte-aligned
-		// sub-warps with any live lane issues its two quad cycles.
-		rsz := 0
-		for v := uint32(m); v != 0; v >>= 8 {
-			if v&0xFF != 0 {
-				rsz += 2
-			}
-		}
-		if rsz < 1 {
-			rsz = 1
-		}
-		b.PolicyCycles[compaction.BCC] += int64(bcc)
-		b.PolicyCycles[compaction.SCC] += int64(scc)
-		b.PolicyCycles[compaction.Melding] += int64(meld)
-		b.PolicyCycles[compaction.Resize] += int64(rsz)
-		if pop == 0 {
-			b.Empty++
-		} else {
-			q := (pop*stats.Quartiles - 1) / width
-			if q >= stats.Quartiles {
-				q = stats.Quartiles - 1
-			}
-			b.Buckets[q]++
-		}
-	}
-	run.BulkRecord(width, &b)
-}
-
-// replayGeneric is the fallback for uncommon (width, group) shapes —
-// f64/f16 group sizes, scalar widths — and is exactly the Analyze path.
-func replayGeneric(run *stats.Run, seg []Record, width, group int) {
-	for _, r := range seg {
-		run.RecordInstr(width, group, r.Mask)
-	}
 }

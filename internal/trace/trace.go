@@ -155,7 +155,9 @@ func (s *SliceSource) Next() (Record, bool) {
 
 // Analyze replays a mask stream through the compaction cost models,
 // producing the same per-policy EU-cycle accounting the simulator
-// produces for executed kernels.
+// produces for executed kernels: records are counted by signature and
+// each distinct one is costed once (stats.Run.Flush), in memory bounded
+// however long the stream is.
 func Analyze(name string, src Source) *stats.Run {
 	return AnalyzeObserved(name, src, nil)
 }
@@ -195,6 +197,7 @@ func AnalyzeObserved(name string, src Source, probe obs.Probe) *stats.Run {
 	if probe != nil && idx > 0 {
 		probe.LaunchEnd(idx)
 	}
+	run.Flush()
 	return run
 }
 

@@ -294,23 +294,16 @@ func RunAllExperimentsCtx(ctx context.Context, opts ...ExperimentOption) error {
 func ParsePolicy(s string) (Policy, error) { return compaction.ParsePolicy(s) }
 
 // AnalyzeTrace replays execution-mask records through all compaction cost
-// models.
+// models, costing each distinct (width, group, mask) signature once —
+// the same path every policy cell of RunSweep takes.
 func AnalyzeTrace(name string, records []TraceRecord) *Run {
 	return trace.Analyze(name, &trace.SliceSource{Records: records})
-}
-
-// ReplayTrace produces the same accounting as AnalyzeTrace through the
-// bit-parallel replay kernels (packed-word popcounts and cost LUTs) —
-// the engine behind RunSweep. Prefer it when the same trace is costed
-// many times.
-func ReplayTrace(name string, records []TraceRecord) *Run {
-	return trace.Replay(name, records)
 }
 
 // The trace-once, cost-many sweep API: a Sweep is a grid of workload ×
 // policy × SIMD-width × size cells where each (workload, width, size)
 // group is executed functionally once — capturing its execution-mask
-// trace — and every policy cell is a bit-parallel replay of that trace.
+// trace — and every policy cell is a replay of that trace.
 type (
 	// Sweep is a policy-sweep grid; build one with NewSweep.
 	Sweep = experiments.Sweep
