@@ -89,15 +89,22 @@ timeline-smoke:
 	$(GO) test -run TestTimedExecutionZeroAlloc -count 1 ./internal/eu/
 
 # sweep-smoke exercises the trace-once sweep engine end to end on a
-# small grid. The CLI pass oracle-checks every captured trace record
-# (-verify) and hard-asserts replayed accounting equals the capturing
-# execution; the test pass proves one functional execution per group
-# (probe-counted), replayed costs identical to fresh per-policy
-# executions, and /v1/sweep cells byte-identical to freshly executed
+# small grid. Each (workload, width, size) group runs one functional
+# execution, whose run serves all seven policy cells, and one check that
+# a replay of its captured trace reproduces that run's accounting. The
+# CLI pass oracle-checks every captured trace record (-verify) and
+# asserts the tally line "14 cells from 2 executions over ...". The
+# test pass proves one execution and one replay per group
+# (probe-counted), cell costs identical to fresh per-policy executions,
+# a capture check that rejects an altered trace, sweep option
+# validation, and /v1/sweep cells byte-identical to freshly executed
 # /v1/run responses on an independent httptest server.
 sweep-smoke:
-	$(GO) run ./cmd/simd-bench -sweep bsearch,urng -sizes 512 -verify
-	$(GO) test -count 1 -run 'TestSweepSingleExecutionPerWorkload|TestSweepReplayMatchesFreshExecution|TestSweepOracleVerify' ./internal/experiments/
+	@out=$$($(GO) run ./cmd/simd-bench -sweep bsearch,urng -sizes 512 -verify) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '^14 cells from 2 executions over ' \
+		|| { echo "sweep-smoke: tally line must start with '14 cells from 2 executions over'"; exit 1; }
+	$(GO) test -count 1 -run 'TestSweepSingleExecutionPerWorkload|TestSweepReplayMatchesFreshExecution|TestSweepOracleVerify|TestSweepOptionValidation|TestCheckCaptureRejectsAlteredTrace' ./internal/experiments/
 	$(GO) test -count 1 -run 'TestSweepCellsByteIdenticalToRun|TestSweepWidthAxisOverHTTP' ./internal/serve/
 
 # bench runs every benchmark with allocation reporting and converts the

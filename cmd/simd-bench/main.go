@@ -9,8 +9,8 @@
 //	simd-bench -all -quick        reduced problem sizes
 //	simd-bench -all -workers 4    bound the worker pool
 //
-// Sweeps (one functional execution per workload×width×size group; every
-// policy cell is a trace replay of that group's masks):
+// Sweeps (one functional execution per workload×width×size group serves
+// every policy cell of the group):
 //
 //	simd-bench -sweep bsearch,urng                      full-policy sweep
 //	simd-bench -sweep bsearch -policies scc,bcc \

@@ -19,18 +19,15 @@ import (
 )
 
 // The trace-once, cost-many sweep engine (paper Figs. 3/8/10: the same
-// workload costed under every compaction policy). The execution-mask
-// trace of a functional run is policy-invariant, so a policy sweep needs
-// one functional execution per (workload, width, size) group — the trace
-// is captured by that execution and every policy cell is evaluated by
-// replaying it through trace.ReplayObserved, which costs each distinct
-// signature of the trace once. Replayed accounting is asserted
-// bit-identical to the capturing run on every group
-// (stats.MaskCountsEqual) — a check that the capture is faithful — and
-// Verify additionally checks the captured trace record by record against
-// the independent oracle model. Both the CLI sweep (simd-bench -sweep) and the batch serving
-// endpoint (POST /v1/sweep) sit on ExecuteGroup, so they evaluate cells
-// through the same engine.
+// workload costed under every compaction policy). Every policy's cost is
+// a pure function of an instruction's (width, group, execution mask), so
+// one functional execution per (workload, width, size) group accounts
+// all seven policies and serves every policy cell of the group. One
+// replay of the execution's captured mask trace must reproduce its
+// accounting exactly (stats.MaskCountsEqual), and Verify also checks
+// that trace record by record against the independent oracle model. The
+// CLI sweep (simd-bench -sweep) and POST /v1/sweep both sit on
+// ExecuteGroup.
 
 // ResolveSpec returns the workload compiled at the given SIMD width in
 // lanes; width 0 selects the native kernel. Non-zero widths are only
@@ -112,7 +109,7 @@ type GroupSpec struct {
 }
 
 // GroupResult is one executed group: the capturing run, its trace, and
-// the per-policy replayed runs.
+// one run per policy.
 type GroupResult struct {
 	Spec *workloads.Spec
 	// Base is the aggregate run of the one functional execution that
@@ -120,17 +117,17 @@ type GroupResult struct {
 	Base *stats.Run
 	// Records is the captured execution-mask trace across all launches.
 	Records []trace.Record
-	// Runs holds one replayed run per policy, each bit-identical to Base
-	// in every mask-derived statistic (asserted at replay time).
+	// Runs holds one run per policy: a copy of Base with TimedPolicy set
+	// to that policy.
 	Runs [compaction.NumPolicies]*stats.Run
 }
 
 // ExecuteGroup performs a group's single functional execution with trace
-// capture, then replays the trace once per policy. A probe factory
-// installed with obs.ContextWithProbes observes both halves: the
-// execution as "sweep/<workload>" and each replay cell as
-// "sweep/<workload>/<policy>" (launch-level events, engine
-// "trace-replay").
+// capture, checks the capture with one replay, and builds every policy's
+// run from the capturing one. A probe factory installed with
+// obs.ContextWithProbes observes both: the execution as
+// "sweep/<workload>" and the check as "sweep/<workload>/replay" (one
+// launch-level event pair, engine "trace-replay").
 func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 	spec, err := ResolveSpec(gs.Workload, gs.Width)
 	if err != nil {
@@ -141,9 +138,10 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 		cfg.Mem.DCLinesPerCycle = gs.DCLinesPerCycle
 	}
 	cfg.Mem.PerfectL3 = gs.PerfectL3
-	probes := obs.ProbesFrom(ctx)
-	if probes != nil {
+	var replayProbe obs.Probe
+	if probes := obs.ProbesFrom(ctx); probes != nil {
 		cfg.EU.Probe = probes("sweep/" + spec.Name)
+		replayProbe = probes("sweep/" + spec.Name + "/replay")
 	}
 	col := &trace.Collector{}
 	base, err := workloads.ExecuteCtx(ctx, gpu.New(cfg), spec, workloads.ExecOptions{
@@ -159,30 +157,28 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 			return nil, fmt.Errorf("experiments: %s: oracle violation after %d records: %w", spec.Name, n, v)
 		}
 	}
+	if err := checkCapture(base, col.Records, replayProbe); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
+	}
 	res := &GroupResult{Spec: spec, Base: base, Records: col.Records}
 	for _, p := range compaction.Policies {
-		var probe obs.Probe
-		if probes != nil {
-			probe = probes("sweep/" + spec.Name + "/" + p.String())
-		}
-		rep := trace.ReplayObserved(base.Name, p.String(), base.Width, col.Records, probe)
-		// The free equivalence check of the trace-once design: if the
-		// captured trace ever disagreed with what the execution counted,
-		// the sweep fails rather than serving wrong costs.
-		if !rep.MaskCountsEqual(base) {
-			return nil, fmt.Errorf("experiments: %s/%s: replayed trace accounting diverges from the capturing execution", spec.Name, p)
-		}
-		// Mask-derived statistics were recomputed by the replay; the
-		// policy-invariant remainder (identity, memory behaviour) carries
-		// over from the capturing run.
-		rep.Name, rep.Width = base.Name, base.Width
-		rep.Sends, rep.SendLines = base.Sends, base.SendLines
-		rep.Barriers = base.Barriers
-		rep.Mem, rep.L3HitRate = base.Mem, base.L3HitRate
-		rep.TimedPolicy = p
-		res.Runs[p] = rep
+		run := stats.NewRun(base.Name, base.Width)
+		run.Merge(base)
+		run.Mem, run.L3HitRate = base.Mem, base.L3HitRate
+		run.TimedPolicy = p
+		res.Runs[p] = run
 	}
 	return res, nil
+}
+
+// checkCapture replays the captured records once and fails unless they
+// reproduce the capturing run's accounting: the one runtime proof that
+// the trace holds exactly what the engine counted.
+func checkCapture(base *stats.Run, recs []trace.Record, probe obs.Probe) error {
+	if !trace.ReplayObserved(base.Name, "all", base.Width, recs, probe).MaskCountsEqual(base) {
+		return errors.New("replayed trace accounting diverges from the capturing execution")
+	}
+	return nil
 }
 
 // SweepCell identifies one grid point of a sweep.
@@ -208,11 +204,10 @@ type SweepResult struct {
 }
 
 // SweepOutcome is a completed sweep: per-cell results in grid order plus
-// the execution/replay tallies that quantify the trace-once design.
+// the execution tally that quantifies the trace-once design.
 type SweepOutcome struct {
 	Results    []SweepResult
 	Executions int   // functional executions performed (one per group)
-	Replays    int   // trace replays performed
 	Records    int64 // captured trace records across all groups
 }
 
@@ -252,6 +247,11 @@ func SweepWorkloads(names ...string) SweepOption {
 // SweepPolicies selects the policy axis; the default is all seven.
 func SweepPolicies(ps ...compaction.Policy) SweepOption {
 	return func(s *Sweep) error {
+		for _, p := range ps {
+			if int(p) >= compaction.NumPolicies {
+				return fmt.Errorf("experiments: SweepPolicies(%d): want a policy below %d", p, compaction.NumPolicies)
+			}
+		}
 		s.policies = append(s.policies, ps...)
 		return nil
 	}
@@ -367,8 +367,9 @@ func (s *Sweep) Cells() []SweepCell {
 }
 
 // Run evaluates the grid: one functional execution per group (in
-// parallel on the worker pool), every cell a trace replay. Group errors
-// are joined in grid order; a failed group fails the sweep.
+// parallel on the worker pool), whose run serves every cell of the
+// group. Group errors are joined in grid order; a failed group fails the
+// sweep.
 func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 	cells := s.Cells()
 	var order []groupKey
@@ -417,7 +418,6 @@ func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 		out.Results = append(out.Results, SweepResult{Cell: c, Run: g.Runs[c.Policy]})
 	}
 	out.Executions = len(order)
-	out.Replays = len(order) * compaction.NumPolicies
 	for _, g := range results {
 		out.Records += int64(len(g.Records))
 	}
@@ -442,6 +442,6 @@ func (o *SweepOutcome) Render(w io.Writer) {
 			fmt.Sprintf("%.1f%%", 100*run.EUCycleReduction(r.Cell.Policy)))
 	}
 	t.render(w)
-	fmt.Fprintf(w, "%d cells from %d executions + %d replays over %d trace records\n",
-		len(o.Results), o.Executions, o.Replays, o.Records)
+	fmt.Fprintf(w, "%d cells from %d executions over %d trace records\n",
+		len(o.Results), o.Executions, o.Records)
 }

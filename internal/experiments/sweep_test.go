@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -12,6 +13,7 @@ import (
 	"intrawarp/internal/kgen"
 	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
+	"intrawarp/internal/trace"
 	"intrawarp/internal/workloads"
 )
 
@@ -38,8 +40,8 @@ func freshRun(t testing.TB, name string, p compaction.Policy, size, workers int)
 
 // TestSweepSingleExecutionPerWorkload is the trace-once guarantee: a
 // full seven-policy sweep performs exactly as many functional launches as
-// executing each workload once — the policy axis is served entirely by
-// trace replays.
+// executing each workload once, plus one trace replay per group that
+// checks the capture — the policy axis costs no further work.
 func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 	// Baseline: one execution per workload, counting launches (BFS
 	// launches several times per execution, so launch counts — not
@@ -79,8 +81,8 @@ func TestSweepSingleExecutionPerWorkload(t *testing.T) {
 	if n := counts.Launches("functional-parallel"); n != 0 {
 		t.Errorf("sweep performed %d parallel functional launches, want 0 (capture is serial)", n)
 	}
-	if got, want := counts.Launches("trace-replay"), len(sweepSet)*compaction.NumPolicies; got != want {
-		t.Errorf("sweep performed %d trace replays, want %d", got, want)
+	if got, want := counts.Launches("trace-replay"), len(sweepSet); got != want {
+		t.Errorf("sweep performed %d trace replays, want %d (one capture check per group)", got, want)
 	}
 	if out.Executions != len(sweepSet) {
 		t.Errorf("outcome reports %d executions, want %d", out.Executions, len(sweepSet))
@@ -271,6 +273,7 @@ func TestSweepOptionValidation(t *testing.T) {
 		{"bad width", []SweepOption{SweepWorkloads("bsearch"), SweepWidths(7)}},
 		{"negative size", []SweepOption{SweepWorkloads("bsearch"), SweepSizes(-1)}},
 		{"bad dc bandwidth", []SweepOption{SweepWorkloads("bsearch"), SweepDCBandwidth(0)}},
+		{"out-of-range policy", []SweepOption{SweepWorkloads("bsearch"), SweepPolicies(compaction.Policy(compaction.NumPolicies))}},
 	}
 	for _, tc := range cases {
 		if _, err := NewSweep(tc.opts...); err == nil {
@@ -285,6 +288,34 @@ func TestSweepOptionValidation(t *testing.T) {
 	}
 	if _, err := sw.Run(context.Background()); err == nil {
 		t.Error("width sweep of a fixed-width workload succeeded, want error")
+	}
+}
+
+// TestCheckCaptureRejectsAlteredTrace feeds ExecuteGroup's capture check
+// the group's own records, then the same records with one mask bit
+// flipped and with one record dropped: only the faithful capture passes.
+func TestCheckCaptureRejectsAlteredTrace(t *testing.T) {
+	spec, err := workloads.ByName("bsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ExecuteGroup(context.Background(), GroupSpec{Workload: "bsearch", Size: workloads.QuickSize(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkCapture(res.Base, res.Records, nil); err != nil {
+		t.Fatalf("faithful capture rejected: %v", err)
+	}
+	flipped := append([]trace.Record(nil), res.Records...)
+	flipped[len(flipped)/2].Mask ^= 1
+	for name, recs := range map[string][]trace.Record{
+		"one mask bit flipped": flipped,
+		"one record dropped":   res.Records[1:],
+	} {
+		err := checkCapture(res.Base, recs, nil)
+		if err == nil || !strings.Contains(err.Error(), "diverges") {
+			t.Errorf("%s: checkCapture = %v, want the diverges error", name, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -198,6 +199,73 @@ func TestDeadlineExceededMidRunDoesNotPoisonCache(t *testing.T) {
 	if m["cache_entries"] != 1 {
 		t.Errorf("cache holds %d entries after one successful run, want 1", m["cache_entries"])
 	}
+}
+
+// TestUnrunnableSizeIsAnErrorNotACrash sends sizes a workload cannot run
+// at — dct8 at 17 over /v1/run (its check once read past its input and
+// killed the process) and fwht at 3 over /v1/sweep: both answer with the
+// error envelope, nothing is cached, and the server keeps serving.
+func TestUnrunnableSizeIsAnErrorNotACrash(t *testing.T) {
+	api, ts := newTestServer(t, Config{})
+	resp, data := post(t, ts, "/v1/run", `{"workload":"dct8","size":17}`)
+	var e errorEnvelope
+	if err := json.Unmarshal(data, &e); err != nil {
+		t.Fatalf("body %q is not the JSON envelope: %v", data, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || e.Error.Code != "internal" ||
+		!strings.Contains(e.Error.Message, "multiple of") {
+		t.Errorf("dct8 at size 17: status %d, envelope %+v; want 500 with the size error", resp.StatusCode, e.Error)
+	}
+	req := RunRequest{Workload: "dct8", Size: 17}
+	if err := req.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := api.cache.get(req.key()); ok {
+		t.Error("the failed run was cached")
+	}
+
+	resp, data = post(t, ts, "/v1/sweep", `{"workloads":["fwht"],"sizes":[3]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, data)
+	}
+	results, errLines, sum := readSweep(t, bytes.NewReader(data))
+	if len(results) != 0 || len(errLines) != 7 || sum.Failed != 7 {
+		t.Errorf("fwht at size 3: %d results, %d error lines, summary %+v; want 7 failed cells", len(results), len(errLines), sum)
+	}
+	if m := scrapeMetrics(t, ts); m["cache_entries"] != 0 {
+		t.Errorf("cache holds %d entries after two failed requests, want 0", m["cache_entries"])
+	}
+
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz: %v", err)
+	}
+	health.Body.Close()
+	if health.StatusCode != http.StatusOK {
+		t.Errorf("/healthz status %d after the failed requests, want 200", health.StatusCode)
+	}
+}
+
+// TestFlightPanicBecomesError runs a flight whose computation panics: the
+// waiter sees the panic as the flight's error, the flight retires, and
+// the next request for the key leads a fresh flight.
+func TestFlightPanicBecomesError(t *testing.T) {
+	g := newFlightGroup()
+	f, leader, _ := g.join("k", context.Background())
+	if !leader {
+		t.Fatal("first join did not lead")
+	}
+	go g.run("k", f, func() (*response, error) { panic("engine bug") })
+	<-f.done
+	g.leave("k", f)
+	if f.result != nil || f.err == nil || !strings.Contains(f.err.Error(), "engine bug") {
+		t.Errorf("panicked flight: result %v, err %v; want no result and the panic as the error", f.result, f.err)
+	}
+	f2, leader, _ := g.join("k", context.Background())
+	if !leader {
+		t.Error("the panicked flight did not retire: a later join coalesced onto it")
+	}
+	g.leave("k", f2)
 }
 
 // TestCancelledWaiterDoesNotAbortSharedFlight coalesces two clients onto

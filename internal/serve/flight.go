@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -77,12 +78,18 @@ func (g *flightGroup) leave(key string, f *flight) {
 
 // run executes fn, publishes its result, and retires the flight so a
 // later identical request starts fresh (a successful result will be in
-// the response cache by then).
+// the response cache by then). A panic in fn becomes the flight's
+// error, a 500 for its waiters, and the flight still retires.
 func (g *flightGroup) run(key string, f *flight, fn func() (*response, error)) {
+	defer func() {
+		if p := recover(); p != nil {
+			f.err = fmt.Errorf("simulation panicked: %v", p)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		f.cancel()
+		close(f.done)
+	}()
 	f.result, f.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	f.cancel()
-	close(f.done)
 }

@@ -25,14 +25,13 @@ type metrics struct {
 	queueDepth atomic.Int64 // requests waiting for a run slot
 	inFlight   atomic.Int64 // simulations holding a run slot
 
-	// Sweep-endpoint series: the replay-vs-execute split is the
+	// Sweep-endpoint series: the cells-vs-executions split is the
 	// observable form of the trace-once design — sweep_cells_total
 	// growing much faster than sweep_executions_total means cells are
-	// being served by replay and cache, not fresh simulation.
+	// served by shared executions and the cache, not one run each.
 	sweeps          atomic.Int64 // /v1/sweep requests accepted
 	sweepCells      atomic.Int64 // sweep cells served (result lines streamed)
 	sweepExecutions atomic.Int64 // functional executions for sweep groups
-	sweepReplays    atomic.Int64 // per-policy trace replays for sweep groups
 
 	start time.Time // process start, for the uptime gauge
 
@@ -83,7 +82,6 @@ func (m *metrics) render(w io.Writer, cacheLen int) {
 	counter("sweeps_total", "sweep requests accepted", m.sweeps.Load())
 	counter("sweep_cells_total", "sweep cells served as result lines", m.sweepCells.Load())
 	counter("sweep_executions_total", "trace-capturing functional executions for sweep groups", m.sweepExecutions.Load())
-	counter("sweep_replays_total", "per-policy trace replays for sweep groups", m.sweepReplays.Load())
 	gauge("queue_depth", "requests waiting for a run slot", m.queueDepth.Load())
 	gauge("in_flight", "simulations currently holding a run slot", m.inFlight.Load())
 	gauge("cache_entries", "entries in the result cache", int64(cacheLen))

@@ -125,10 +125,10 @@ func (r ExperimentRequest) key() string {
 // of workloads × policies × SIMD widths × sizes — streamed back as
 // NDJSON with one /v1/run response object per cell. Cells that share a
 // (workload, width, size, memory-config) group are evaluated
-// trace-once, cost-many: one functional execution captures the group's
-// execution-mask trace and every policy cell is a replay of it
-// (internal/trace), so a full-policy sweep costs one execution per
-// group, not four.
+// trace-once, cost-many: one functional execution accounts every
+// policy's cost and serves all of the group's policy cells
+// (internal/experiments), so a full-policy sweep costs one execution per
+// group, not seven.
 type SweepRequest struct {
 	// Workloads is the workload axis; at least one name is required.
 	Workloads []string `json:"workloads"`
@@ -204,8 +204,8 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 }
 
 // groupKey is the content address of a cell's trace-capture group:
-// every field of the canonicalized cell except the policy (served by
-// replay) and the worker knob (never part of any key).
+// every field of the canonicalized cell except the policy (served by the
+// group's one execution) and the worker knob (never part of any key).
 func (r RunRequest) groupKey() string {
 	r.Policy = ""
 	r.Workers = 0

@@ -30,8 +30,8 @@ import (
 //
 // Cells are served from the same content-addressed cache as /v1/run;
 // misses are grouped by everything but policy, each group coalesced
-// onto one flight that performs a single trace-capturing execution and
-// replays the trace once per policy. Group flights acquire the same run
+// onto one flight that performs a single trace-capturing execution
+// whose run serves every policy cell. Group flights acquire the same run
 // slots as unary requests but bypass the admission queue's depth bound:
 // a sweep already bounds its own fan-out (at most Concurrency groups in
 // flight) and its cells must not be 429-shed one by one mid-stream.
@@ -94,11 +94,9 @@ type sweepSummary struct {
 	// CacheHits counts cells served straight from the result cache.
 	CacheHits int `json:"cacheHits"`
 	// Executions counts the functional executions that served this
-	// sweep's cache-missed groups; Replays the per-policy trace replays
-	// they fanned out to. Executions ≪ Cells is the trace-once design
-	// working.
+	// sweep's cache-missed groups. Executions ≪ Cells is the trace-once
+	// design working.
 	Executions int `json:"executions"`
-	Replays    int `json:"replays"`
 	// Failed counts cells that streamed an error line.
 	Failed int `json:"failed"`
 	// Complete is true when every cell was either served or failed —
@@ -159,7 +157,6 @@ func (st *sweepStream) fail(cell *RunRequest, status int, err error) {
 func (st *sweepStream) executed() {
 	st.mu.Lock()
 	st.sum.Executions++
-	st.sum.Replays += compaction.NumPolicies
 	st.mu.Unlock()
 }
 
@@ -281,7 +278,7 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 		}
 		if f.stages.Run > 0 {
 			// The flight executed (rather than finding every cell already
-			// cached on its re-check): one execution, NumPolicies replays.
+			// cached on its re-check).
 			st.executed()
 		}
 		for _, cell := range g.cells {
@@ -301,12 +298,12 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 }
 
 // executeSweepGroup is the group flight's body: one trace-capturing
-// functional execution under a run slot, then one trace replay per
-// policy, every cell encoded exactly as /v1/run encodes it and
-// published to the shared result cache. Unlike admitted() there is no
-// queue-depth shedding — the sweep endpoint bounds its own concurrency —
-// but slot contention, in-flight accounting, and stage attribution are
-// identical.
+// functional execution under a run slot (experiments.ExecuteGroup),
+// then every policy cell of its run encoded exactly as /v1/run encodes
+// it and published to the shared result cache. Unlike admitted() there
+// is no queue-depth shedding — the sweep endpoint bounds its own
+// concurrency — but slot contention, in-flight accounting, and stage
+// attribution are identical.
 func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec) (map[string][]byte, error) {
 	// Re-check under the flight (cf. serveCached): every cell of this
 	// group may have been published while the group waited to start.
@@ -354,7 +351,6 @@ func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec
 		return nil, err
 	}
 	s.met.sweepExecutions.Add(1)
-	s.met.sweepReplays.Add(int64(compaction.NumPolicies))
 	s.observeRun(ctx, runStart, res.Base.SIMDEfficiency(), true)
 
 	encStart := time.Now()

@@ -74,7 +74,7 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 	if len(errLines) != 0 {
 		t.Fatalf("sweep produced %d error lines: %s", len(errLines), errLines[0])
 	}
-	want := sweepSummary{Cells: 14, CacheHits: 0, Executions: 2, Replays: 14, Failed: 0, Complete: true}
+	want := sweepSummary{Cells: 14, CacheHits: 0, Executions: 2, Failed: 0, Complete: true}
 	if sum != want {
 		t.Errorf("summary = %+v, want %+v", sum, want)
 	}
@@ -131,8 +131,7 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 	m := scrapeMetrics(t, ts)
 	for metric, want := range map[string]int64{
 		"sweeps_total": 1, "sweep_cells_total": 14,
-		"sweep_executions_total": 2, "sweep_replays_total": 14,
-		"simulations_total": 2,
+		"sweep_executions_total": 2, "simulations_total": 2,
 	} {
 		if m[metric] != want {
 			t.Errorf("%s = %d, want %d", metric, m[metric], want)
@@ -147,7 +146,7 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
 	results2, _, sum2 := readSweep(t, bytes.NewReader(data2))
-	want2 := sweepSummary{Cells: 14, CacheHits: 14, Executions: 0, Replays: 0, Failed: 0, Complete: true}
+	want2 := sweepSummary{Cells: 14, CacheHits: 14, Executions: 0, Failed: 0, Complete: true}
 	if sum2 != want2 {
 		t.Errorf("repeat summary = %+v, want %+v", sum2, want2)
 	}
@@ -242,7 +241,7 @@ func TestSweepFlushesPartialResultsAndDisconnectCancels(t *testing.T) {
 	if len(errLines2) != 0 {
 		t.Fatalf("follow-up sweep errored: %s", errLines2[0])
 	}
-	want := sweepSummary{Cells: 7, CacheHits: 7, Executions: 0, Replays: 0, Failed: 0, Complete: true}
+	want := sweepSummary{Cells: 7, CacheHits: 7, Executions: 0, Failed: 0, Complete: true}
 	if sum2 != want {
 		t.Errorf("follow-up summary = %+v, want %+v", sum2, want)
 	}

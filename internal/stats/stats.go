@@ -235,11 +235,10 @@ func (r *Run) cost() {
 
 // MaskCountsEqual reports whether two flushed runs accumulated identical
 // mask-derived statistics: instruction and lane counts, every policy's
-// cycle total, and the full utilization histogram. This is the
-// equivalence the trace-replay sweep engine asserts between a replayed
-// trace and the execution that captured it; memory-side and timed
-// quantities are deliberately excluded (a mask trace cannot re-derive
-// them, so replays copy them from the capturing run instead).
+// cycle total, and the full utilization histogram. The sweep engine
+// asserts it once per group, between one replay of the captured trace
+// and the execution that captured it; memory-side and timed quantities
+// are deliberately excluded, since a mask trace cannot re-derive them.
 func (r *Run) MaskCountsEqual(o *Run) bool {
 	if r.Instructions != o.Instructions || r.ActiveLanes != o.ActiveLanes || r.TotalLanes != o.TotalLanes {
 		return false

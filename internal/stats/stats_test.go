@@ -126,6 +126,43 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+// TestMaskCountsEqualDetectsEachField changes one mask-derived field of
+// an otherwise identical run per case; every change must compare
+// unequal, in both directions.
+func TestMaskCountsEqualDetectsEachField(t *testing.T) {
+	build := func() *Run {
+		r := NewRun("r", 16)
+		r.RecordInstr(16, 4, 0x00FF)
+		r.RecordInstr(16, 4, 0)
+		r.RecordInstr(8, 4, 0x0F)
+		r.Flush()
+		return r
+	}
+	if !build().MaskCountsEqual(build()) {
+		t.Fatal("identical runs compare unequal")
+	}
+	cases := []struct {
+		name   string
+		change func(r *Run)
+	}{
+		{"Instructions", func(r *Run) { r.Instructions++ }},
+		{"ActiveLanes", func(r *Run) { r.ActiveLanes++ }},
+		{"TotalLanes", func(r *Run) { r.TotalLanes++ }},
+		{"PolicyCycles[scc]", func(r *Run) { r.PolicyCycles[compaction.SCC]++ }},
+		{"missing Hist width", func(r *Run) { delete(r.Hist, 8) }},
+		{"Hist width replaced", func(r *Run) { r.Hist[4] = r.Hist[8]; delete(r.Hist, 8) }},
+		{"Hist bucket", func(r *Run) { r.Hist[16].Buckets[1]++ }},
+		{"Hist Empty", func(r *Run) { r.Hist[16].Empty++ }},
+	}
+	for _, tc := range cases {
+		r := build()
+		tc.change(r)
+		if build().MaskCountsEqual(r) || r.MaskCountsEqual(build()) {
+			t.Errorf("%s differs, yet MaskCountsEqual reports equal", tc.name)
+		}
+	}
+}
+
 func TestSummaryRendering(t *testing.T) {
 	r := NewRun("bfs", 16)
 	r.RecordInstr(16, 4, 0x00FF)

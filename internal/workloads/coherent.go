@@ -169,10 +169,14 @@ func setupMVM(g *gpu.GPU, n int) (*Instance, error) {
 
 // setupMatMul: C = A·B for n×n matrices, one work-item per output element.
 func setupMatMul(g *gpu.GPU, n int) (*Instance, error) {
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("matmul", isa.SIMD16)
 	// row = gid / n, col = gid % n.
 	row, col := b.Vec(), b.Vec()
-	b.Shr(row, b.GlobalID(), b.U(uint32(log2(n)))) // n must be a power of two
+	b.Shr(row, b.GlobalID(), b.U(uint32(shift)))
 	b.And(col, b.GlobalID(), b.U(uint32(n-1)))
 	aPtr := b.Vec()
 	b.MadU(aPtr, row, b.U(uint32(n*4)), b.Arg(0))
@@ -231,9 +235,13 @@ func setupMatMul(g *gpu.GPU, n int) (*Instance, error) {
 // setupTranspose: out[j*n+i] = in[i*n+j] — coherent control, divergent
 // memory on the store side.
 func setupTranspose(g *gpu.GPU, n int) (*Instance, error) {
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("transpose", isa.SIMD16)
 	row, col := b.Vec(), b.Vec()
-	b.Shr(row, b.GlobalID(), b.U(uint32(log2(n))))
+	b.Shr(row, b.GlobalID(), b.U(uint32(shift)))
 	b.And(col, b.GlobalID(), b.U(uint32(n-1)))
 	inAddr := b.Addr(b.Arg(0), b.GlobalID(), 4)
 	v := b.Vec()
@@ -397,6 +405,9 @@ func setupBlackScholes(g *gpu.GPU, n int) (*Instance, error) {
 
 // setupDCT8: 8-point DCT-II per work-item over its input segment.
 func setupDCT8(g *gpu.GPU, n int) (*Instance, error) {
+	if n%8 != 0 {
+		return nil, fmt.Errorf("size %d is not a multiple of the 8-point block", n)
+	}
 	b := kbuild.New("dct8", isa.SIMD16)
 	// Work-item i computes output coefficient (i%8) of block (i/8).
 	block, coef := b.Vec(), b.Vec()
@@ -591,14 +602,15 @@ func setupSobel(g *gpu.GPU, n int) (*Instance, error) {
 	return Single(spec, check), nil
 }
 
-// log2 returns the base-2 logarithm of a power of two.
-func log2(n int) int {
+// log2 returns the base-2 logarithm of the size n, or an error when n
+// is not a power of two.
+func log2(n int) (int, error) {
 	l := 0
 	for 1<<uint(l) < n {
 		l++
 	}
 	if 1<<uint(l) != n {
-		panic(fmt.Sprintf("workloads: %d is not a power of two", n))
+		return 0, fmt.Errorf("size %d is not a power of two", n)
 	}
-	return l
+	return l, nil
 }

@@ -29,10 +29,14 @@ func setupHotspot(g *gpu.GPU, n int) (*Instance, error) {
 		kCoef = 0.1
 		steps = 4
 	)
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	build := func(name string, srcArg, dstArg int) (*isa.Kernel, error) {
 		b := kbuild.New(name, isa.SIMD16)
 		row, col := b.Vec(), b.Vec()
-		b.Shr(row, b.GlobalID(), b.U(uint32(log2(n))))
+		b.Shr(row, b.GlobalID(), b.U(uint32(shift)))
 		b.And(col, b.GlobalID(), b.U(uint32(n-1)))
 		// Pyramid-halo validity check (Rodinia's IN_RANGE): the computed
 		// region shrinks by one ring per step (arg 3), so halo lanes go

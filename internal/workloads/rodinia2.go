@@ -27,6 +27,10 @@ func init() {
 // updates. The active region shrinks with the pivot — heavy bounds-check
 // divergence, like Rodinia's Gauss.
 func setupGauss(g *gpu.GPU, n int) (*Instance, error) {
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	// Kernel 1: m[i] = A[i,k] / A[k,k] for i > k.
 	// args: 0=A 1=m 2=k
 	b1 := kbuild.New("gauss-mult", isa.SIMD16)
@@ -64,7 +68,7 @@ func setupGauss(g *gpu.GPU, n int) (*Instance, error) {
 	// args: 0=A 1=m 2=k 3=rhs
 	b2 := kbuild.New("gauss-update", isa.SIMD16)
 	row, col := b2.Vec(), b2.Vec()
-	b2.Shr(row, b2.GlobalID(), b2.U(uint32(log2(n))))
+	b2.Shr(row, b2.GlobalID(), b2.U(uint32(shift)))
 	b2.And(col, b2.GlobalID(), b2.U(uint32(n-1)))
 	kv := b2.Vec()
 	b2.MovU(kv, b2.Arg(2))
@@ -394,10 +398,14 @@ func setupPathfinder(g *gpu.GPU, n int) (*Instance, error) {
 func setupSRAD(g *gpu.GPU, n int) (*Instance, error) {
 	const lambda = 0.125
 	const q0sq = 0.05
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("srad", isa.SIMD16)
 	// args: 0=in 1=out
 	row, col := b.Vec(), b.Vec()
-	b.Shr(row, b.GlobalID(), b.U(uint32(log2(n))))
+	b.Shr(row, b.GlobalID(), b.U(uint32(shift)))
 	b.And(col, b.GlobalID(), b.U(uint32(n-1)))
 	c := b.Vec()
 	cAddr := b.Addr(b.Arg(0), b.GlobalID(), 4)

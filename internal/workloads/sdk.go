@@ -32,10 +32,14 @@ func init() {
 // graph; one launch per intermediate node k, with a divergent relaxation
 // branch.
 func setupFloydWarshall(g *gpu.GPU, n int) (*Instance, error) {
+	shift, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("floydwarshall", isa.SIMD16)
 	// args: 0=dist (n×n u32) 1=k
 	row, col := b.Vec(), b.Vec()
-	b.Shr(row, b.GlobalID(), b.U(uint32(log2(n))))
+	b.Shr(row, b.GlobalID(), b.U(uint32(shift)))
 	b.And(col, b.GlobalID(), b.U(uint32(n-1)))
 	kv := b.Vec()
 	b.MovU(kv, b.Arg(1))
@@ -302,6 +306,10 @@ func setupBoxFilter(g *gpu.GPU, n int) (*Instance, error) {
 // setupFWHT: fast Walsh-Hadamard transform, one butterfly pass per
 // launch — coherent control with strided memory.
 func setupFWHT(g *gpu.GPU, n int) (*Instance, error) {
+	passes, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("fwht-pass", isa.SIMD16)
 	// args: 0=data 1=half-stride h. Work-item i handles pair
 	// (base, base+h) where base = (i/h)*2h + i%h.
@@ -339,7 +347,6 @@ func setupFWHT(g *gpu.GPU, n int) (*Instance, error) {
 		data[i] = r.Float32()*2 - 1
 	}
 	buf := g.AllocF32(n, data)
-	passes := log2(n)
 	inst := &Instance{
 		Next: func(iter int) *gpu.LaunchSpec {
 			if iter >= passes {
@@ -374,6 +381,10 @@ func setupFWHT(g *gpu.GPU, n int) (*Instance, error) {
 // active item count each time — coherent within a launch, tail-masked at
 // small levels.
 func setupDWTHaar(g *gpu.GPU, n int) (*Instance, error) {
+	levels, err := log2(n)
+	if err != nil {
+		return nil, err
+	}
 	b := kbuild.New("dwt-haar", isa.SIMD16)
 	// args: 0=src 1=dst approx base 2=dst detail base offset (elements)
 	i2 := b.Vec()
@@ -409,7 +420,6 @@ func setupDWTHaar(g *gpu.GPU, n int) (*Instance, error) {
 	}
 	bufA := g.AllocF32(n, data)
 	bufB := g.AllocF32(n, make([]float32, n))
-	levels := log2(n)
 	inst := &Instance{
 		Next: func(iter int) *gpu.LaunchSpec {
 			if iter >= levels {

@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/gpu"
@@ -60,6 +62,38 @@ func TestAllWorkloadsFunctional(t *testing.T) {
 				t.Fatalf("efficiency %v out of range", eff)
 			}
 		})
+	}
+}
+
+// TestAnySizeErrorsNotPanics runs every workload at sizes that are not
+// powers of two, not multiples of 8, tiny or past 4096: each must return
+// a run or an error and never panic, since a size arrives unchecked from
+// the CLI or an HTTP request. Every run is cut at a short deadline (the
+// deadline error counts as an error) so the large sizes stay cheap;
+// Setup, where the size checks live, always runs in full. mvm, nw and
+// sobel allocate n² elements in Setup (0.4–0.8 GB at 4097), so they stop
+// at 1000.
+func TestAnySizeErrorsNotPanics(t *testing.T) {
+	quadratic := map[string]bool{"mvm": true, "nw": true, "sobel": true}
+	for _, s := range All() {
+		for _, n := range []int{1, 3, 5, 17, 100, 1000, 4097} {
+			if n > 1000 && quadratic[s.Name] {
+				continue
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s at size %d panicked: %v", s.Name, n, p)
+					}
+				}()
+				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+				defer cancel()
+				run, err := ExecuteCtx(ctx, gpu.New(gpu.DefaultConfig()), s, ExecOptions{Size: n})
+				if (run == nil) == (err == nil) {
+					t.Errorf("%s at size %d: run %v with error %v, want exactly one", s.Name, n, run, err)
+				}
+			}()
+		}
 	}
 }
 

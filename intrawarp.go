@@ -295,15 +295,15 @@ func ParsePolicy(s string) (Policy, error) { return compaction.ParsePolicy(s) }
 
 // AnalyzeTrace replays execution-mask records through all compaction cost
 // models, costing each distinct (width, group, mask) signature once —
-// the same path every policy cell of RunSweep takes.
+// the accounting every engine run, and so every RunSweep cell, uses.
 func AnalyzeTrace(name string, records []TraceRecord) *Run {
 	return trace.Analyze(name, &trace.SliceSource{Records: records})
 }
 
 // The trace-once, cost-many sweep API: a Sweep is a grid of workload ×
 // policy × SIMD-width × size cells where each (workload, width, size)
-// group is executed functionally once — capturing its execution-mask
-// trace — and every policy cell is a replay of that trace.
+// group is executed functionally once, capturing its execution-mask
+// trace, and that one run serves every policy cell of the group.
 type (
 	// Sweep is a policy-sweep grid; build one with NewSweep.
 	Sweep = experiments.Sweep
@@ -313,7 +313,7 @@ type (
 	SweepCell = experiments.SweepCell
 	// SweepResult is one evaluated cell.
 	SweepResult = experiments.SweepResult
-	// SweepOutcome is a completed sweep with its execution/replay tallies.
+	// SweepOutcome is a completed sweep with its execution tally.
 	SweepOutcome = experiments.SweepOutcome
 )
 
