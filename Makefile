@@ -40,9 +40,24 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/
 
-.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus
+.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke
 
-check: build vet fmt-check test race bench-check
+check: build vet fmt-check test race bench-check examples-smoke
+
+# examples-smoke runs each example program and diffs its standard output
+# against testdata/examples/<name>.golden. Every example is
+# deterministic, so any drift is a behavior change of the public API or
+# the simulator that the examples exercise.
+EXAMPLES = quickstart raytrace bfs divergence-patterns asm-pipeline
+
+examples-smoke:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > "$$out" || exit 1; \
+		diff -u testdata/examples/$$e.golden "$$out" \
+			|| { echo "examples-smoke: $$e output drifted from testdata/examples/$$e.golden"; exit 1; }; \
+	done; \
+	echo "examples-smoke: $(words $(EXAMPLES)) examples match their goldens"
 
 # verify runs the differential verification harness (DESIGN.md §10):
 # every workload at quick sizes, each captured instruction checked

@@ -1,6 +1,7 @@
 package intrawarp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -95,7 +96,7 @@ func BenchmarkSCCSchedule(b *testing.B) {
 func BenchmarkPolicyCycles(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Cycles(SCC, Mask(uint32(i)&0xFFFF), 16, 4)
+		_ = SCC.Cycles(Mask(uint32(i)&0xFFFF), 16, 4)
 	}
 }
 
@@ -109,7 +110,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := gpu.New(gpu.DefaultConfig().WithPolicy(SCC))
-		if _, err := workloads.ExecuteOpts(g, w, workloads.ExecOptions{Size: 128, Timed: true}); err != nil {
+		if _, err := workloads.ExecuteCtx(context.Background(), g, w, workloads.ExecOptions{Size: 128, Timed: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +141,7 @@ func benchTimed(b *testing.B, workload string, size int, eng gpu.Engine) {
 		cfg.Engine = eng
 		g := gpu.New(cfg)
 		b.StartTimer()
-		if _, err := workloads.ExecuteOpts(g, w, workloads.ExecOptions{Size: size, Timed: true}); err != nil {
+		if _, err := workloads.ExecuteCtx(context.Background(), g, w, workloads.ExecOptions{Size: size, Timed: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +180,7 @@ func BenchmarkFunctionalThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g := gpu.New(gpu.DefaultConfig())
-		if _, err := workloads.ExecuteOpts(g, w, workloads.ExecOptions{Size: 256}); err != nil {
+		if _, err := workloads.ExecuteCtx(context.Background(), g, w, workloads.ExecOptions{Size: 256}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +227,7 @@ func BenchmarkParallelFunctional(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g := gpu.New(gpu.DefaultConfig().WithWorkers(workers))
-				if _, err := workloads.ExecuteOpts(g, w, workloads.ExecOptions{Size: 8192}); err != nil {
+				if _, err := workloads.ExecuteCtx(context.Background(), g, w, workloads.ExecOptions{Size: 8192}); err != nil {
 					b.Fatal(err)
 				}
 			}

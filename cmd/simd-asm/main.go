@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -92,8 +93,8 @@ func runKernel(prog isa.Program, width, n, group, outWords int, policyStr string
 	g := gpu.New(cfg)
 	buf := g.AllocU32(outWords, make([]uint32, outWords))
 	k := &isa.Kernel{Name: "cli", Program: prog, Width: isa.Width(width)}
-	runStats, err := g.Run(gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: group,
-		Args: []uint32{buf}})
+	runStats, err := g.RunCtx(context.Background(), gpu.LaunchSpec{Kernel: k, GlobalSize: n,
+		GroupSize: group, Args: []uint32{buf}})
 	if err != nil {
 		fatal("simd-asm: %v", err)
 	}

@@ -120,10 +120,9 @@ func run() int {
 		}
 		return 0
 	}
-	opts := []intrawarp.ExperimentOption{
-		intrawarp.WithOutput(os.Stdout),
-		intrawarp.WithWorkers(*workers),
-	}
+	// The experiment and sweep modes share one option list; output goes
+	// to standard output, the default.
+	opts := []intrawarp.Option{intrawarp.WithWorkers(*workers)}
 	if *quick {
 		opts = append(opts, intrawarp.WithQuick())
 	}
@@ -153,8 +152,8 @@ func run() int {
 	case *sweep != "":
 		err = runSweep(ctx, sweepFlags{
 			workloads: *sweep, policies: *policies, widths: *widths, sizes: *sizes,
-			verify: *verify, quick: *quick, workers: *workers,
-		})
+			verify: *verify,
+		}, opts)
 	case *all:
 		err = intrawarp.RunAllExperimentsCtx(ctx, opts...)
 	case *exp != "":
@@ -177,17 +176,13 @@ func run() int {
 // comma-separated form.
 type sweepFlags struct {
 	workloads, policies, widths, sizes string
-	verify, quick                      bool
-	workers                            int
+	verify                             bool
 }
 
-// runSweep builds a Sweep from the flags, evaluates it, and renders the
-// cell table to stdout.
-func runSweep(ctx context.Context, f sweepFlags) error {
-	opts := []intrawarp.SweepOption{
-		intrawarp.SweepWorkloads(splitList(f.workloads)...),
-		intrawarp.SweepWorkers(f.workers),
-	}
+// runSweep builds a Sweep from the flags and the shared options,
+// evaluates it, and renders the cell table to stdout.
+func runSweep(ctx context.Context, f sweepFlags, shared []intrawarp.Option) error {
+	opts := append([]intrawarp.Option{intrawarp.SweepWorkloads(splitList(f.workloads)...)}, shared...)
 	if f.policies != "" {
 		var ps []intrawarp.Policy
 		for _, s := range splitList(f.policies) {
@@ -216,14 +211,11 @@ func runSweep(ctx context.Context, f sweepFlags) error {
 	if f.verify {
 		opts = append(opts, intrawarp.SweepVerify())
 	}
-	if f.quick {
-		opts = append(opts, intrawarp.SweepQuick())
-	}
 	s, err := intrawarp.NewSweep(opts...)
 	if err != nil {
 		return err
 	}
-	out, err := intrawarp.RunSweep(ctx, s)
+	out, err := s.Run(ctx)
 	if err != nil {
 		return err
 	}

@@ -94,7 +94,7 @@ func main() {
 	}
 
 	mkGPU := func(p intrawarp.Policy) *intrawarp.GPU {
-		opts := []intrawarp.ConfigOption{
+		opts := []intrawarp.Option{
 			intrawarp.WithPolicy(p),
 			intrawarp.WithEngine(engine),
 			intrawarp.WithDCBandwidth(*dc),
@@ -141,7 +141,7 @@ func main() {
 		return
 	}
 
-	runOpts := []intrawarp.RunOption{intrawarp.WithSize(*n)}
+	runOpts := []intrawarp.Option{intrawarp.WithSize(*n)}
 	if !*functional {
 		runOpts = append(runOpts, intrawarp.WithTimed())
 	}

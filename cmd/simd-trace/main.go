@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,7 +98,7 @@ func captureTrace(name string, n int, path string) error {
 		if ls == nil {
 			break
 		}
-		if _, err := g.RunFunctional(*ls, visit); err != nil {
+		if _, err := g.RunFunctionalCtx(context.Background(), *ls, visit); err != nil {
 			return err
 		}
 	}

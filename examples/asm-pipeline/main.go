@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,6 +59,7 @@ func main() {
 
 	kernel := &isa.Kernel{Name: "collatz", Program: prog, Width: intrawarp.SIMD16}
 	const n = 256
+	ctx := context.Background()
 
 	// Capture the execution-mask trace from a functional run.
 	var records []intrawarp.TraceRecord
@@ -67,7 +69,7 @@ func main() {
 	}
 	out := g.AllocU32(n, make([]uint32, n))
 	spec := intrawarp.LaunchSpec{Kernel: kernel, GlobalSize: n, GroupSize: 64, Args: []uint32{out}}
-	if _, err := g.RunFunctional(spec, func(_, _ int, res eu.ExecResult) {
+	if _, err := g.RunFunctionalCtx(ctx, spec, func(_, _ int, res eu.ExecResult) {
 		records = append(records, trace.Record{
 			Width: uint8(res.Width), Group: uint8(res.Group), Mask: res.Mask,
 		})
@@ -93,7 +95,7 @@ func main() {
 	for _, p := range []intrawarp.Policy{intrawarp.IvyBridge, intrawarp.BCC, intrawarp.SCC} {
 		gt := gpu.New(gpu.DefaultConfig().WithPolicy(p))
 		buf := gt.AllocU32(n, make([]uint32, n))
-		r, err := gt.Run(gpu.LaunchSpec{Kernel: kernel, GlobalSize: n, GroupSize: 64,
+		r, err := gt.RunCtx(ctx, gpu.LaunchSpec{Kernel: kernel, GlobalSize: n, GroupSize: 64,
 			Args: []uint32{buf}})
 		if err != nil {
 			log.Fatal(err)

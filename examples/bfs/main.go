@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const n = 1024
+	ctx := context.Background()
 
 	fmt.Println("bfs over a 1024-node random graph (frontier expansion per launch)")
 	fmt.Printf("%-10s %-12s %-14s %-12s %-14s\n", "policy", "L3", "total cycles", "EU busy", "lines/send")
@@ -29,7 +31,7 @@ func main() {
 	busies := map[key]int64{}
 	for _, pl3 := range []bool{false, true} {
 		for _, p := range []intrawarp.Policy{intrawarp.IvyBridge, intrawarp.SCC} {
-			opts := []intrawarp.ConfigOption{intrawarp.WithPolicy(p)}
+			opts := []intrawarp.Option{intrawarp.WithPolicy(p)}
 			if pl3 {
 				opts = append(opts, intrawarp.WithPerfectL3())
 			}
@@ -37,7 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			run, err := intrawarp.RunWorkload(g, w, intrawarp.WithSize(n), intrawarp.WithTimed())
+			run, err := intrawarp.RunWorkloadCtx(ctx, g, w, intrawarp.WithSize(n), intrawarp.WithTimed())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -24,10 +24,10 @@ func main() {
 	} {
 		fmt.Printf("0x%04X %-11s %-9d %-9d %-5d %-5d\n",
 			uint32(m), lanes(m),
-			intrawarp.Cycles(intrawarp.Baseline, m, 16, 4),
-			intrawarp.Cycles(intrawarp.IvyBridge, m, 16, 4),
-			intrawarp.Cycles(intrawarp.BCC, m, 16, 4),
-			intrawarp.Cycles(intrawarp.SCC, m, 16, 4))
+			intrawarp.Baseline.Cycles(m, 16, 4),
+			intrawarp.IvyBridge.Cycles(m, 16, 4),
+			intrawarp.BCC.Cycles(m, 16, 4),
+			intrawarp.SCC.Cycles(m, 16, 4))
 	}
 
 	fmt.Println()
@@ -46,8 +46,8 @@ func main() {
 		group int
 	}{{"f16", 8}, {"f32", 4}, {"f64", 2}} {
 		fmt.Printf("%-6s %-11d %-9d %-5d\n", g.name, g.group,
-			intrawarp.Cycles(intrawarp.Baseline, 0x000F, 16, g.group),
-			intrawarp.Cycles(intrawarp.BCC, 0x000F, 16, g.group))
+			intrawarp.Baseline.Cycles(0x000F, 16, g.group),
+			intrawarp.BCC.Cycles(0x000F, 16, g.group))
 	}
 }
 

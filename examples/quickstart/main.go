@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 
 func main() {
 	const n = 1024
+	ctx := context.Background()
 
 	// A kernel with a classic if/else divergence: odd work-items take the
 	// expensive path (a square root), even ones the cheap path.
@@ -47,7 +49,7 @@ func main() {
 			data[i] = float32(i) + 1
 		}
 		buf := g.AllocF32(n, data)
-		run, err := g.Run(intrawarp.LaunchSpec{
+		run, err := g.RunCtx(ctx, intrawarp.LaunchSpec{
 			Kernel: kernel, GlobalSize: n, GroupSize: 64, Args: []uint32{buf},
 		})
 		if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ func main() {
 		log.Fatal(err)
 	}
 	const n = 576 // 24×24 pixels
+	ctx := context.Background()
 
 	type result struct {
 		policy intrawarp.Policy
@@ -29,7 +31,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := intrawarp.RunWorkload(g, w, intrawarp.WithSize(n), intrawarp.WithTimed())
+		run, err := intrawarp.RunWorkloadCtx(ctx, g, w, intrawarp.WithSize(n), intrawarp.WithTimed())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := intrawarp.RunWorkload(g, w, intrawarp.WithSize(n)); err != nil {
+	if _, err := intrawarp.RunWorkloadCtx(ctx, g, w, intrawarp.WithSize(n)); err != nil {
 		log.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package intrawarp
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +23,7 @@ func TestBenchReportGolden(t *testing.T) {
 		t.Skip("full quick-size experiment sweep (~7s)")
 	}
 	var buf bytes.Buffer
-	if err := RunAllExperiments(WithOutput(&buf), WithQuick()); err != nil {
+	if err := RunAllExperimentsCtx(context.Background(), WithOutput(&buf), WithQuick()); err != nil {
 		t.Fatalf("rendering the report: %v", err)
 	}
 	got := buf.Bytes()

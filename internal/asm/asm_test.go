@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"context"
 	"testing"
 
 	"intrawarp/internal/gpu"
@@ -212,7 +213,7 @@ func TestAssembledKernelRuns(t *testing.T) {
 	const n = 64
 	out := g.AllocU32(n, make([]uint32, n))
 	k := &isa.Kernel{Name: "asm-test", Program: prog, Width: isa.SIMD16}
-	if _, err := g.Run(gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
+	if _, err := g.RunCtx(context.Background(), gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
 		Args: []uint32{out}}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package eu
 
 import (
-	"fmt"
-
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/mask"
@@ -29,15 +27,6 @@ type Config struct {
 	// cannot issue again for this many cycles while its instruction queue
 	// refills. Zero (the default) assumes a perfect front end.
 	JumpPenalty int
-
-	// ValidateSCC makes the EU construct the full Fig. 6 crossbar
-	// schedule for every SCC-compressed instruction and cross-check it
-	// against the cycle-cost model: the schedule's length must equal the
-	// charged cycles, every active lane must be issued exactly once, and
-	// no ALU lane may be double-booked in a cycle. A mismatch panics —
-	// it would mean the modeled hardware control logic and the timing
-	// model disagree. Slower; intended for verification runs.
-	ValidateSCC bool
 
 	// Probe receives instrumentation events (issues, stall windows,
 	// compaction decisions, SEND completions). Nil — the default — keeps
@@ -332,9 +321,6 @@ func (e *EU) issue(ti int, now int64) {
 	switch res.Pipe {
 	case isa.PipeFPU, isa.PipeEM:
 		cycles := int64(e.Cfg.Policy.Cycles(res.Mask, res.Width, res.Group))
-		if e.Cfg.ValidateSCC && e.Cfg.Policy == compaction.SCC {
-			validateSCCSchedule(res, cycles)
-		}
 		start := now
 		if e.pipeFree[res.Pipe] > start {
 			start = e.pipeFree[res.Pipe]
@@ -580,43 +566,6 @@ func (e *EU) getComp(ti int) *sendComp {
 		return c
 	}
 	return &sendComp{e: e, ti: ti}
-}
-
-// validateSCCSchedule rebuilds the crossbar schedule the SCC control
-// logic would emit for this instruction and asserts it is consistent with
-// the charged pipe occupancy (see Config.ValidateSCC).
-func validateSCCSchedule(res ExecResult, charged int64) {
-	s := compaction.ScheduleFor(res.Mask, res.Width, res.Group)
-	if int64(len(s.Cycles)) != charged {
-		panic(fmt.Sprintf("eu: SCC schedule/%s has %d cycles but %d were charged (mask %#x)",
-			res.Instr.Op, len(s.Cycles), charged, uint32(res.Mask)))
-	}
-	// Track issued lanes as a bitmask: count+membership alone cannot see
-	// a schedule that executes one element twice while dropping another.
-	var seen uint64
-	issued := 0
-	for c, cyc := range s.Cycles {
-		for n, a := range cyc {
-			if !a.Enabled {
-				continue
-			}
-			lane := int(a.Quad)*res.Group + int(a.SrcLane)
-			if !res.Mask.Lane(lane) {
-				panic(fmt.Sprintf("eu: SCC schedule cycle %d ALU lane %d sources disabled lane %d (mask %#x)",
-					c, n, lane, uint32(res.Mask)))
-			}
-			if seen>>uint(lane)&1 == 1 {
-				panic(fmt.Sprintf("eu: SCC schedule cycle %d ALU lane %d re-executes lane %d (mask %#x)",
-					c, n, lane, uint32(res.Mask)))
-			}
-			seen |= 1 << uint(lane)
-			issued++
-		}
-	}
-	if want := res.Mask.Trunc(res.Width).PopCount(); issued != want {
-		panic(fmt.Sprintf("eu: SCC schedule issues %d lanes, mask has %d (mask %#x)",
-			issued, want, uint32(res.Mask)))
-	}
 }
 
 // scheduleSendWB reserves and later clears the destination of an SLM load.

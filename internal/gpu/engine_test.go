@@ -59,7 +59,7 @@ func TestEngineParityDirect(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Engine = eng
 			g := New(cfg)
-			run, err := g.Run(mk(g))
+			run, err := g.RunCtx(context.Background(), mk(g))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, eng, err)
 			}
@@ -90,7 +90,7 @@ func TestMaxCyclesOvershoot(t *testing.T) {
 		cfg.Engine = eng
 		cfg.MaxCycles = budget
 		g := New(cfg)
-		return g.Run(stridedSpec(t, g, k, n))
+		return g.RunCtx(context.Background(), stridedSpec(t, g, k, n))
 	}
 
 	// Learn the exact finishing cycle (and require both cores to agree).

@@ -94,7 +94,7 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *sta
 	}
 }
 
-// RunFunctional executes the launch on the functional model only: no
+// RunFunctionalCtx executes the launch on the functional model only: no
 // pipeline or memory timing, just architectural execution with statistics
 // and what-if compaction accounting. This is the fast path used for trace
 // collection and EU-cycle-only experiments (Figs. 3, 9, 10).
@@ -107,14 +107,10 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *sta
 // serial run (see DESIGN.md §7). A non-nil visit
 // forces serial execution: trace capture needs the exact serial
 // interleaving of the record stream.
-func (g *GPU) RunFunctional(spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {
-	return g.RunFunctionalCtx(context.Background(), spec, visit)
-}
-
-// RunFunctionalCtx is RunFunctional with cancellation: ctx is checked at
-// workgroup granularity, so when it is cancelled every in-flight
-// workgroup finishes, no further workgroup starts, and ctx.Err() is
-// returned. Which workgroups completed before the cut is
+//
+// ctx is checked at workgroup granularity, so when it is cancelled every
+// in-flight workgroup finishes, no further workgroup starts, and
+// ctx.Err() is returned. Which workgroups completed before the cut is
 // scheduling-dependent, but the error is not: a cancelled run never
 // returns partial statistics.
 func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -194,7 +195,7 @@ func TestFuzzPolicyEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			run, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: items,
+			run, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: items,
 				GroupSize: 32, Args: nil})
 			if err != nil {
 				t.Fatalf("seed %d policy %s: %v", seed, p, err)
@@ -234,7 +235,7 @@ func TestFuzzFunctionalMatchesTimed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := gT.Run(LaunchSpec{Kernel: kT, GlobalSize: items, GroupSize: 32}); err != nil {
+		if _, err := gT.RunCtx(context.Background(), LaunchSpec{Kernel: kT, GlobalSize: items, GroupSize: 32}); err != nil {
 			t.Fatalf("seed %d timed: %v", seed, err)
 		}
 		gF := New(DefaultConfig())
@@ -242,7 +243,7 @@ func TestFuzzFunctionalMatchesTimed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := gF.RunFunctional(LaunchSpec{Kernel: kF, GlobalSize: items, GroupSize: 32}, nil); err != nil {
+		if _, err := gF.RunFunctionalCtx(context.Background(), LaunchSpec{Kernel: kF, GlobalSize: items, GroupSize: 32}, nil); err != nil {
 			t.Fatalf("seed %d functional: %v", seed, err)
 		}
 		outT := gT.ReadBufferU32(slotT, items*4)

@@ -308,12 +308,6 @@ func initThread(th *eu.Thread, spec *LaunchSpec, wg, tIdx int, slm *memory.SLM, 
 	}
 }
 
-// Run executes a timed, cycle-level simulation of the launch and returns
-// the collected statistics.
-func (g *GPU) Run(spec LaunchSpec) (*stats.Run, error) {
-	return g.RunCtx(context.Background(), spec)
-}
-
 // ctxCheckInterval gates how often the timed loop polls for
 // cancellation: at the first event batch at least 4096 simulated cycles
 // after the previous poll — far finer than a workgroup lifetime, at
@@ -321,7 +315,8 @@ func (g *GPU) Run(spec LaunchSpec) (*stats.Run, error) {
 // polls at the landing rather than waiting for an exact multiple).
 const ctxCheckInterval = 1 << 12
 
-// RunCtx is Run with cancellation: when ctx is cancelled or its deadline
+// RunCtx executes a timed, cycle-level simulation of the launch and
+// returns the collected statistics. When ctx is cancelled or its deadline
 // passes, the simulation stops within a few thousand simulated cycles
 // (well under one workgroup's lifetime) and ctx.Err() is returned.
 func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {

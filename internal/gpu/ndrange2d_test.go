@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"context"
 	"testing"
 
 	"intrawarp/internal/isa"
@@ -29,7 +30,7 @@ func TestLaunch2DCoversRange(t *testing.T) {
 		Kernel: idKernel2D(t), GlobalSize: gx, GroupSize: 32,
 		GlobalSizeY: gy, GroupSizeY: 2, Args: []uint32{out},
 	}
-	run, err := g.Run(spec)
+	run, err := g.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,13 @@ func TestLaunch2DFunctionalMatchesTimed(t *testing.T) {
 	k := idKernel2D(t)
 	gT := New(DefaultConfig())
 	outT := gT.AllocU32(gx*gy, fill(gx*gy, 0))
-	if _, err := gT.Run(LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: 16,
+	if _, err := gT.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: 16,
 		GlobalSizeY: gy, GroupSizeY: 3, Args: []uint32{outT}}); err != nil {
 		t.Fatal(err)
 	}
 	gF := New(DefaultConfig())
 	outF := gF.AllocU32(gx*gy, fill(gx*gy, 0))
-	if _, err := gF.RunFunctional(LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: 16,
+	if _, err := gF.RunFunctionalCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: 16,
 		GlobalSizeY: gy, GroupSizeY: 3, Args: []uint32{outF}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestLaunch2DGroupIDs(t *testing.T) {
 
 	g := New(DefaultConfig())
 	out := g.AllocU32(wgX*wgY, fill(wgX*wgY, 0))
-	if _, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: gpx,
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: gx, GroupSize: gpx,
 		GlobalSizeY: gy, GroupSizeY: gpy, Args: []uint32{out}}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,13 @@ func TestLaunch2DValidation(t *testing.T) {
 		b.MovU(b.Vec(), b.GlobalID())
 		return b.MustBuild()
 	}()
-	if _, err := g.Run(LaunchSpec{Kernel: k32, GlobalSize: 64, GroupSize: 64,
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k32, GlobalSize: 64, GroupSize: 64,
 		GlobalSizeY: 4, GroupSizeY: 1}); err == nil {
 		t.Error("2-D SIMD32 launch accepted")
 	}
 	// Workgroup too large: 32/16 × 4 = 8 threads > 6.
 	k16 := idKernel2D(t)
-	if _, err := g.Run(LaunchSpec{Kernel: k16, GlobalSize: 32, GroupSize: 32,
+	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k16, GlobalSize: 32, GroupSize: 32,
 		GlobalSizeY: 8, GroupSizeY: 4}); err == nil {
 		t.Error("oversized 2-D workgroup accepted")
 	}

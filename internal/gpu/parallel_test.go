@@ -68,7 +68,7 @@ func runDeterminism(t *testing.T, p compaction.Policy, workers int, k *isa.Kerne
 	in := g.AllocU32(n, data)
 	outBuf := g.AllocU32(n, make([]uint32, n))
 	acc := g.AllocU32(1, []uint32{0})
-	r, err := g.RunFunctional(LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
+	r, err := g.RunFunctionalCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
 		Args: []uint32{in, outBuf, acc}}, nil)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -128,7 +128,7 @@ func TestTimedRunIgnoresWorkers(t *testing.T) {
 		in := g.AllocU32(n, data)
 		out := g.AllocU32(n, make([]uint32, n))
 		acc := g.AllocU32(1, []uint32{0})
-		r, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
+		r, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 32,
 			Args: []uint32{in, out, acc}})
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package kgen_test
 
 import (
+	"context"
 	"testing"
 
 	"intrawarp/internal/gpu"
@@ -38,7 +39,7 @@ func FuzzKernelGen(f *testing.F) {
 		spec := k.Spec(k.ISA.Name, true)
 		g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
 		col := &trace.Collector{}
-		if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{Visit: col.Visit}); err != nil {
+		if _, err := workloads.ExecuteCtx(context.Background(), g, spec, workloads.ExecOptions{Visit: col.Visit}); err != nil {
 			t.Fatalf("params %+v: serial vs evaluator: %v", p, err)
 		}
 		if v, _ := oracle.CheckTrace(col.Source(), nil); v != nil {

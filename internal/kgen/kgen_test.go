@@ -28,7 +28,7 @@ func TestCorpusSerialMatchesEvaluator(t *testing.T) {
 					t.Fatalf("index %d: %v", idx, err)
 				}
 				g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
-				if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{}); err != nil {
+				if _, err := workloads.ExecuteCtx(context.Background(), g, spec, workloads.ExecOptions{}); err != nil {
 					t.Fatalf("index %d (%s): %v", idx, spec.Name, err)
 				}
 			}
@@ -47,7 +47,7 @@ func TestCorpusParallelEngineAgrees(t *testing.T) {
 				t.Fatalf("%s/%d: %v", profile, idx, err)
 			}
 			g := gpu.New(gpu.DefaultConfig().WithWorkers(4))
-			if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{}); err != nil {
+			if _, err := workloads.ExecuteCtx(context.Background(), g, spec, workloads.ExecOptions{}); err != nil {
 				t.Fatalf("%s/%d (%s): %v", profile, idx, spec.Name, err)
 			}
 		}
@@ -63,7 +63,7 @@ func TestCorpusTimedEngineAgrees(t *testing.T) {
 			t.Fatalf("%s: %v", profile, err)
 		}
 		g := gpu.New(gpu.DefaultConfig())
-		if _, err := workloads.ExecuteOpts(g, spec, workloads.ExecOptions{Timed: true}); err != nil {
+		if _, err := workloads.ExecuteCtx(context.Background(), g, spec, workloads.ExecOptions{Timed: true}); err != nil {
 			t.Fatalf("%s (%s): %v", profile, spec.Name, err)
 		}
 	}

@@ -24,9 +24,10 @@ func Workers(k int) int {
 
 // For runs fn(i) for every i in [0, n), fanned out across at most
 // `workers` goroutines (normalized via Workers). It returns when all
-// items are done. fn must not panic; items are claimed dynamically, so
-// two calls may execute the same item on different goroutines — fn must
-// only touch state owned by item i or state that is safe to share.
+// items are done. Items are claimed dynamically, so two calls may
+// execute the same item on different goroutines — fn must only touch
+// state owned by item i or state that is safe to share. A panic in fn
+// reaches the caller (see ForWorker).
 //
 // With workers <= 1 (after normalization, i.e. Workers(k) == 1) or n <= 1
 // the items run inline on the calling goroutine, in order; no goroutines
@@ -41,6 +42,11 @@ func For(workers, n int, fn func(i int)) {
 // one item runs on a given w at a time, so fn may use w to index
 // per-worker scratch state (e.g. reusable thread contexts) without
 // locking.
+//
+// A panic in fn is re-raised on the calling goroutine with the same
+// value, so a recover around the call sees it as if fn had run inline.
+// Once an item panics, no worker claims another item, and the panic is
+// re-raised after every worker has stopped.
 func ForWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -55,12 +61,22 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		cursor   atomic.Int64
+		wg       sync.WaitGroup
+		once     sync.Once
+		panicked any
+	)
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func(worker int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { panicked = r })
+					cursor.Store(int64(n)) // every later claim lands past the end
+				}
+			}()
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
@@ -71,6 +87,9 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 		}(g)
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // ForErr runs fn(i) for every i in [0, n) like For and returns the error

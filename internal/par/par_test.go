@@ -67,3 +67,27 @@ func TestForErrLowestIndexWins(t *testing.T) {
 		t.Fatalf("ForErr on success = %v", err)
 	}
 }
+
+// TestForWorkerPanicReachesCaller checks that a worker goroutine's panic
+// is re-raised on the calling goroutine, where a recover catches it, and
+// only after every worker has stopped running items.
+func TestForWorkerPanicReachesCaller(t *testing.T) {
+	var running atomic.Int32
+	defer func() {
+		r := recover()
+		if r != "item 5" {
+			t.Fatalf("recovered %v, want the worker's panic value", r)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("%d items still running when the panic reached the caller", n)
+		}
+	}()
+	ForWorker(2, 100, func(_, i int) {
+		running.Add(1)
+		defer running.Add(-1)
+		if i == 5 {
+			panic("item 5")
+		}
+	})
+	t.Fatal("ForWorker returned normally after a panicking item")
+}

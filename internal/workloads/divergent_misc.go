@@ -109,8 +109,12 @@ func setupBSearchW(g *gpu.GPU, n int, width isa.Width) (*Instance, error) {
 
 // setupBitonic: full bitonic sort of a power-of-two array, one launch per
 // (stage, pass). The ascending/descending comparison direction alternates
-// per block, producing classic alternating-lane divergence.
+// per block, producing classic alternating-lane divergence. Any other
+// size would pair elements past the end of the array.
 func setupBitonic(g *gpu.GPU, n int) (*Instance, error) {
+	if _, err := log2(n); err != nil {
+		return nil, err
+	}
 	b := kbuild.New("bitonic-pass", isa.SIMD16)
 	// args: 0=data 1=pairDistance(j) 2=blockSize(k)
 	j := b.Vec()

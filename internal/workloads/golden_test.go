@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestEfficiencyGolden(t *testing.T) {
 				t.Fatalf("no golden entry for %s — add it to efficiencyGolden", s.Name)
 			}
 			g := gpu.New(gpu.DefaultConfig())
-			run, err := ExecuteOpts(g, s, ExecOptions{})
+			run, err := ExecuteCtx(context.Background(), g, s, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,11 +32,11 @@ func TestExecuteParallelDeterminism(t *testing.T) {
 			run := func(workers int) *gpu.GPU {
 				return gpu.New(gpu.DefaultConfig().WithPolicy(p).WithWorkers(workers))
 			}
-			serial, err := ExecuteOpts(run(1), spec, ExecOptions{Size: tc.n})
+			serial, err := ExecuteCtx(context.Background(), run(1), spec, ExecOptions{Size: tc.n})
 			if err != nil {
 				t.Fatalf("%s/%s serial: %v", tc.name, p, err)
 			}
-			parallel, err := ExecuteOpts(run(8), spec, ExecOptions{Size: tc.n})
+			parallel, err := ExecuteCtx(context.Background(), run(8), spec, ExecOptions{Size: tc.n})
 			if err != nil {
 				t.Fatalf("%s/%s parallel: %v", tc.name, p, err)
 			}
@@ -54,11 +55,11 @@ func TestExecuteSkipVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, err := ExecuteOpts(gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256})
+	verified, err := ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipped, err := ExecuteOpts(gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256, SkipVerify: true})
+	skipped, err := ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), spec, ExecOptions{Size: 256, SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,17 +121,12 @@ type ExecOptions struct {
 	Visit gpu.InstrVisitor
 }
 
-// ExecuteOpts runs an instance to completion on g according to opts.
+// ExecuteCtx runs an instance to completion on g according to opts.
 // Launch statistics are merged; timed quantities accumulate across
-// launches.
-func ExecuteOpts(g *gpu.GPU, spec *Spec, opts ExecOptions) (*stats.Run, error) {
-	return ExecuteCtx(context.Background(), g, spec, opts)
-}
-
-// ExecuteCtx is ExecuteOpts with cancellation: ctx is threaded into
-// every launch (where the engines check it at workgroup granularity)
-// and checked between launches of multi-launch workloads. A cancelled
-// execution returns ctx.Err() and never partial statistics.
+// launches. ctx is threaded into every launch (where the engines check
+// it at workgroup granularity) and checked between launches of
+// multi-launch workloads. A cancelled execution returns ctx.Err() and
+// never partial statistics.
 func ExecuteCtx(ctx context.Context, g *gpu.GPU, spec *Spec, opts ExecOptions) (*stats.Run, error) {
 	n := opts.Size
 	if n <= 0 {

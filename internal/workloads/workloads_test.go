@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func TestAllWorkloadsFunctional(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			g := gpu.New(gpu.DefaultConfig())
-			run, err := ExecuteOpts(g, s, ExecOptions{Size: scaleFor(s)})
+			run, err := ExecuteCtx(context.Background(), g, s, ExecOptions{Size: scaleFor(s)})
 			if err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -97,6 +98,26 @@ func TestAnySizeErrorsNotPanics(t *testing.T) {
 	}
 }
 
+// TestBitonicRejectsNonPowerOfTwo checks that bitonic refuses, in Setup,
+// a size whose partner indices would run past the buffer, even when the
+// host check is skipped, while its power-of-two sizes still sort.
+func TestBitonicRejectsNonPowerOfTwo(t *testing.T) {
+	s, err := ByName("bitonic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), s,
+		ExecOptions{Size: 1000, SkipVerify: true})
+	if err == nil || !strings.Contains(err.Error(), "setup") || !strings.Contains(err.Error(), "1000") {
+		t.Fatalf("bitonic at 1000: got %v, want a setup error naming the size", err)
+	}
+	for _, n := range []int{256, 1024} {
+		if _, err := ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), s, ExecOptions{Size: n}); err != nil {
+			t.Fatalf("bitonic at %d: %v", n, err)
+		}
+	}
+}
+
 // The expected coherent/divergent classification (paper Fig. 3) must hold
 // at default problem sizes.
 func TestClassification(t *testing.T) {
@@ -104,7 +125,7 @@ func TestClassification(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			g := gpu.New(gpu.DefaultConfig())
-			run, err := ExecuteOpts(g, s, ExecOptions{Size: scaleFor(s)})
+			run, err := ExecuteCtx(context.Background(), g, s, ExecOptions{Size: scaleFor(s)})
 			if err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -123,7 +144,7 @@ func TestCompactionBenefitByClass(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			g := gpu.New(gpu.DefaultConfig())
-			run, err := ExecuteOpts(g, s, ExecOptions{Size: scaleFor(s)})
+			run, err := ExecuteCtx(context.Background(), g, s, ExecOptions{Size: scaleFor(s)})
 			if err != nil {
 				t.Fatalf("%v", err)
 			}
@@ -156,7 +177,7 @@ func TestTimedDivergentSmoke(t *testing.T) {
 		var busy [compaction.NumPolicies]int64
 		for _, p := range compaction.Policies {
 			g := gpu.New(gpu.DefaultConfig().WithPolicy(p))
-			run, err := ExecuteOpts(g, s, ExecOptions{Size: scaleFor(s), Timed: true})
+			run, err := ExecuteCtx(context.Background(), g, s, ExecOptions{Size: scaleFor(s), Timed: true})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, p, err)
 			}

@@ -26,16 +26,20 @@
 //	b.Mul(v, v, b.F(2))
 //	b.StoreScatter(addr, v)
 //	kernel := b.MustBuild()
-//	run, err := g.Run(intrawarp.LaunchSpec{Kernel: kernel, GlobalSize: 1024, GroupSize: 64, Args: []uint32{buf}})
+//	run, err := g.RunCtx(ctx, intrawarp.LaunchSpec{Kernel: kernel, GlobalSize: 1024, GroupSize: 64, Args: []uint32{buf}})
 //
-// Entry points take functional options (see options.go): machine knobs
-// like WithPolicy and WithWorkers configure NewGPU, WithSize / WithTimed
-// parameterize RunWorkload, and WithOutput / WithQuick parameterize
-// RunExperiment.
+// Every entry point that runs a simulation takes a context.Context, and
+// every entry point takes the one Option type (see options.go): machine
+// knobs like WithPolicy configure NewGPU, WithSize and WithTimed
+// parameterize RunWorkloadCtx, WithOutput parameterizes
+// RunExperimentCtx, and SweepWorkloads builds a NewSweep grid. Shared
+// knobs such as WithWorkers and WithQuick apply wherever they make
+// sense; an option passed to an entry point it does not apply to is an
+// error.
 //
 // The workload library (internal/workloads, surfaced through Workloads and
-// RunWorkload) carries the paper's benchmark suite; the experiments
-// registry (Experiments, RunExperiment) regenerates every table and
+// RunWorkloadCtx) carries the paper's benchmark suite; the experiments
+// registry (Experiments, RunExperimentCtx) regenerates every table and
 // figure of the evaluation. See DESIGN.md and EXPERIMENTS.md.
 package intrawarp
 
@@ -155,24 +159,29 @@ func DefaultConfig() Config { return gpu.DefaultConfig() }
 
 // NewConfig builds a machine configuration: the paper's Table 3 machine
 // refined by the given options, applied in order.
-func NewConfig(opts ...ConfigOption) (Config, error) {
-	cfg := gpu.DefaultConfig()
-	for _, o := range opts {
-		if err := o.applyConfig(&cfg); err != nil {
-			return Config{}, err
-		}
-	}
-	return cfg, nil
-}
+func NewConfig(opts ...Option) (Config, error) { return newConfig("NewConfig", opts) }
 
 // NewGPU builds a simulated GPU from the default configuration refined by
 // the given options.
-func NewGPU(opts ...ConfigOption) (*GPU, error) {
-	cfg, err := NewConfig(opts...)
+func NewGPU(opts ...Option) (*GPU, error) {
+	cfg, err := newConfig("NewGPU", opts)
 	if err != nil {
 		return nil, err
 	}
 	return gpu.New(cfg), nil
+}
+
+// newConfig applies opts, in order, to the Table 3 machine on behalf of
+// the named entry point.
+func newConfig(entry string, opts []Option) (Config, error) {
+	cfg := gpu.DefaultConfig()
+	for _, o := range opts {
+		if err := o.check(entry, o.config != nil); err != nil {
+			return Config{}, err
+		}
+		o.config(&cfg)
+	}
+	return cfg, nil
 }
 
 // NewKernel starts building a kernel of the given SIMD width.
@@ -182,11 +191,6 @@ func NewKernel(name string, width Width) *Builder { return kbuild.New(name, widt
 // predicates, immediates — see internal/asm). The inverse is
 // Program.Disassemble.
 func Assemble(src string) (Program, error) { return asm.Assemble(src) }
-
-// Cycles returns the execution-pipe cycles an instruction with execution
-// mask m, SIMD width width, and element group size group occupies under
-// policy p.
-func Cycles(p Policy, m Mask, width, group int) int { return p.Cycles(m, width, group) }
 
 // ComputeSchedule runs the SCC crossbar-setting algorithm of paper Fig. 6.
 func ComputeSchedule(m Mask, width, group int) *Schedule {
@@ -208,83 +212,63 @@ func Workloads() []*Workload { return workloads.All() }
 // WorkloadByName finds a registered benchmark.
 func WorkloadByName(name string) (*Workload, error) { return workloads.ByName(name) }
 
-// RunWorkload executes a benchmark on g and returns its statistics after
-// host-side verification. By default it runs the fast functional model at
-// the workload's default problem size; refine with WithSize, WithTimed,
-// WithWorkers, and WithoutVerify.
-func RunWorkload(g *GPU, w *Workload, opts ...RunOption) (*Run, error) {
-	return RunWorkloadCtx(context.Background(), g, w, opts...)
-}
-
-// RunWorkloadCtx is RunWorkload with cancellation: the run stops between
-// workgroups (functional model) or within a bounded cycle window (timed
-// model) once ctx is done, returning ctx.Err() instead of partial stats.
-func RunWorkloadCtx(ctx context.Context, g *GPU, w *Workload, opts ...RunOption) (*Run, error) {
-	var s runSettings
+// RunWorkloadCtx executes a benchmark on g and returns its statistics
+// after host-side verification. By default it runs the fast functional
+// model, on g's worker pool, at the workload's default problem size;
+// refine with WithSize, WithTimed and WithoutVerify. The run stops
+// between workgroups (functional model) or within a bounded cycle window
+// (timed model) once ctx is done, returning ctx.Err() instead of partial
+// stats.
+func RunWorkloadCtx(ctx context.Context, g *GPU, w *Workload, opts ...Option) (*Run, error) {
+	var exec workloads.ExecOptions
 	for _, o := range opts {
-		if err := o.applyRun(&s); err != nil {
+		if err := o.check("RunWorkloadCtx", o.run != nil); err != nil {
 			return nil, err
 		}
+		o.run(&exec)
 	}
-	if s.hasWorkers {
-		// Override the functional engine's pool for this run only: the
-		// clone shares memory and EUs, so results land in g as usual.
-		clone := *g
-		clone.Cfg.Workers = s.workers
-		g = &clone
-	}
-	return workloads.ExecuteCtx(ctx, g, w, s.exec)
+	return workloads.ExecuteCtx(ctx, g, w, exec)
 }
 
 // Experiments returns the paper-reproduction registry.
 func Experiments() []*Experiment { return experiments.All() }
 
-// newExperimentContext folds experiment options over the defaults
-// (standard output, full problem sizes, GOMAXPROCS workers).
-func newExperimentContext(opts []ExperimentOption) (*experiments.Context, error) {
-	ctx := &experiments.Context{Out: os.Stdout}
+// newExperimentContext folds the named entry point's options over the
+// defaults (standard output, full problem sizes, GOMAXPROCS workers).
+func newExperimentContext(ctx context.Context, entry string, opts []Option) (*experiments.Context, error) {
+	ectx := &experiments.Context{Ctx: ctx, Out: os.Stdout}
 	for _, o := range opts {
-		if err := o.applyExperiment(ctx); err != nil {
+		if err := o.check(entry, o.experiment != nil); err != nil {
 			return nil, err
 		}
+		o.experiment(ectx)
 	}
-	return ctx, nil
+	return ectx, nil
 }
 
-// RunExperiment regenerates one table or figure. By default the rendering
-// goes to standard output at full problem sizes; refine with WithOutput,
-// WithQuick, and WithWorkers.
-func RunExperiment(id string, opts ...ExperimentOption) error {
-	return RunExperimentCtx(context.Background(), id, opts...)
-}
-
-// RunExperimentCtx is RunExperiment with cancellation: in-flight
-// simulation stops at the next workgroup boundary once ctx is done.
-func RunExperimentCtx(ctx context.Context, id string, opts ...ExperimentOption) error {
-	ectx, err := newExperimentContext(opts)
+// RunExperimentCtx regenerates one table or figure. By default the
+// rendering goes to standard output at full problem sizes; refine with
+// WithOutput, WithQuick and WithWorkers. In-flight simulation stops at
+// the next workgroup boundary once ctx is done.
+func RunExperimentCtx(ctx context.Context, id string, opts ...Option) error {
+	ectx, err := newExperimentContext(ctx, "RunExperimentCtx", opts)
 	if err != nil {
 		return err
 	}
-	ectx.Ctx = ctx
 	return experiments.Run(id, ectx)
 }
 
-// RunAllExperiments regenerates every registered table and figure in ID
-// order. Independent experiments execute concurrently; the combined
-// report is rendered in ID order regardless of worker count.
-func RunAllExperiments(opts ...ExperimentOption) error {
-	return RunAllExperimentsCtx(context.Background(), opts...)
-}
-
-// RunAllExperimentsCtx is RunAllExperiments with cancellation. Every
-// experiment's rendering is flushed (completed ones in full, failed ones
-// with a FAILED line) and the combined error joins all failures.
-func RunAllExperimentsCtx(ctx context.Context, opts ...ExperimentOption) error {
-	ectx, err := newExperimentContext(opts)
+// RunAllExperimentsCtx regenerates every registered table and figure in
+// ID order; it takes the options of RunExperimentCtx. Independent
+// experiments execute concurrently; the combined report is rendered in
+// ID order regardless of worker count. Every experiment's rendering is
+// flushed (completed ones in full, failed ones with a FAILED line) and
+// the combined error joins all failures.
+func RunAllExperimentsCtx(ctx context.Context, opts ...Option) error {
+	ectx, err := newExperimentContext(ctx, "RunAllExperimentsCtx", opts)
 	if err != nil {
 		return err
 	}
-	ectx.Ctx = ctx
 	return experiments.RunAll(ectx)
 }
 
@@ -295,7 +279,7 @@ func ParsePolicy(s string) (Policy, error) { return compaction.ParsePolicy(s) }
 
 // AnalyzeTrace replays execution-mask records through all compaction cost
 // models, costing each distinct (width, group, mask) signature once —
-// the accounting every engine run, and so every RunSweep cell, uses.
+// the accounting every engine run, and so every Sweep cell, uses.
 func AnalyzeTrace(name string, records []TraceRecord) *Run {
 	return trace.Analyze(name, &trace.SliceSource{Records: records})
 }
@@ -305,10 +289,9 @@ func AnalyzeTrace(name string, records []TraceRecord) *Run {
 // group is executed functionally once, capturing its execution-mask
 // trace, and that one run serves every policy cell of the group.
 type (
-	// Sweep is a policy-sweep grid; build one with NewSweep.
+	// Sweep is a policy-sweep grid; build one with NewSweep and evaluate
+	// it with its Run method, which checks ctx between groups.
 	Sweep = experiments.Sweep
-	// SweepOption configures NewSweep.
-	SweepOption = experiments.SweepOption
 	// SweepCell identifies one grid point.
 	SweepCell = experiments.SweepCell
 	// SweepResult is one evaluated cell.
@@ -317,47 +300,25 @@ type (
 	SweepOutcome = experiments.SweepOutcome
 )
 
-// NewSweep builds a sweep grid. SweepWorkloads is required; unset axes
-// default to all seven policies × native width × default size.
-func NewSweep(opts ...SweepOption) (*Sweep, error) { return experiments.NewSweep(opts...) }
-
-// RunSweep evaluates a sweep grid with cancellation between groups.
-func RunSweep(ctx context.Context, s *Sweep) (*SweepOutcome, error) { return s.Run(ctx) }
-
-// Sweep axis and behavior options (see internal/experiments for details).
-func SweepWorkloads(names ...string) SweepOption { return experiments.SweepWorkloads(names...) }
-
-// SweepPolicies selects the policy axis; the default is all seven.
-func SweepPolicies(ps ...Policy) SweepOption { return experiments.SweepPolicies(ps...) }
-
-// SweepWidths selects the SIMD-width axis in lanes (0 = native).
-func SweepWidths(ws ...int) SweepOption { return experiments.SweepWidths(ws...) }
-
-// SweepSizes selects the problem-size axis (0 = workload default).
-func SweepSizes(ns ...int) SweepOption { return experiments.SweepSizes(ns...) }
-
-// SweepQuick substitutes reduced problem sizes for default-size cells.
-func SweepQuick() SweepOption { return experiments.SweepQuick() }
-
-// SweepDCBandwidth sets the data-cluster bandwidth in lines per cycle.
-func SweepDCBandwidth(lines int) SweepOption { return experiments.SweepDCBandwidth(lines) }
-
-// SweepPerfectL3 models an always-hitting L3.
-func SweepPerfectL3() SweepOption { return experiments.SweepPerfectL3() }
-
-// SweepSkipChecks drops host-side result verification.
-func SweepSkipChecks() SweepOption { return experiments.SweepSkipChecks() }
-
-// SweepVerify oracle-checks every captured trace record by record.
-func SweepVerify() SweepOption { return experiments.SweepVerify() }
-
-// SweepWorkers bounds the group worker pool (0 = GOMAXPROCS, 1 = serial).
-func SweepWorkers(k int) SweepOption { return experiments.SweepWorkers(k) }
+// NewSweep builds a sweep grid from SweepWorkloads (required), the other
+// Sweep* axis options, and WithQuick, WithWorkers, WithDCBandwidth,
+// WithPerfectL3 and WithoutVerify. Unset axes default to all seven
+// policies × native width × default size.
+func NewSweep(opts ...Option) (*Sweep, error) {
+	sopts := make([]experiments.SweepOption, len(opts))
+	for i, o := range opts {
+		if err := o.check("NewSweep", o.sweep != nil); err != nil {
+			return nil, err
+		}
+		sopts[i] = o.sweep
+	}
+	return experiments.NewSweep(sopts...)
+}
 
 // NewTimeline creates an empty timeline recorder. Attach per-run probes
-// with Timeline.Run and a ConfigOption built by WithProbe; export with
-// Timeline.WriteJSON (Chrome-trace JSON, loadable in Perfetto or
-// chrome://tracing). See docs/observability.md.
+// with Timeline.Run and WithProbe; export with Timeline.WriteJSON
+// (Chrome-trace JSON, loadable in Perfetto or chrome://tracing). See
+// docs/observability.md.
 func NewTimeline() *Timeline { return obs.NewTimeline() }
 
 // ContextWithProbes returns a context carrying a probe factory. Code

@@ -2,6 +2,7 @@ package intrawarp
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestFacadeQuickstart(t *testing.T) {
 	b.StoreScatter(addr, v)
 	k := b.MustBuild()
 
-	run, err := g.Run(LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 64, Args: []uint32{buf}})
+	run, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 64, Args: []uint32{buf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeCyclesAndSchedule(t *testing.T) {
-	if Cycles(SCC, 0xAAAA, 16, 4) != 2 || Cycles(Baseline, 0xAAAA, 16, 4) != 4 {
-		t.Fatal("facade Cycles wrong")
+	if SCC.Cycles(0xAAAA, 16, 4) != 2 || Baseline.Cycles(0xAAAA, 16, 4) != 4 {
+		t.Fatal("facade policy Cycles wrong")
 	}
 	s := ComputeSchedule(0xAAAA, 16, 4)
 	if len(s.Cycles) != 2 || s.SwizzleCount() != 4 {
@@ -65,7 +66,7 @@ func TestFacadeWorkloadsAndTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunWorkload(g, w, WithSize(256))
+	run, err := RunWorkloadCtx(context.Background(), g, w, WithSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,13 +84,13 @@ func TestFacadeExperiments(t *testing.T) {
 		t.Fatalf("only %d experiments registered", len(Experiments()))
 	}
 	var buf bytes.Buffer
-	if err := RunExperiment("rfarea", WithOutput(&buf), WithQuick()); err != nil {
+	if err := RunExperimentCtx(context.Background(), "rfarea", WithOutput(&buf), WithQuick()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "interwarp") {
 		t.Fatalf("unexpected rfarea output:\n%s", buf.String())
 	}
-	if err := RunExperiment("bogus", WithOutput(&buf), WithQuick()); err == nil {
+	if err := RunExperimentCtx(context.Background(), "bogus", WithOutput(&buf), WithQuick()); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -9,198 +9,176 @@ import (
 	"intrawarp/internal/workloads"
 )
 
-// The public entry points take functional options so new simulator knobs
-// (worker pools, memory-system variants, …) can be added without growing
-// positional signatures. Options are interfaces rather than bare function
-// types so one option can apply to several call sites: WithWorkers
-// configures a GPU, a single workload run, or an experiment sweep alike.
-
-// ConfigOption adjusts a machine configuration built by NewConfig or
-// NewGPU.
-type ConfigOption interface {
-	applyConfig(*gpu.Config) error
+// Option configures a facade entry point, so new simulator knobs never
+// grow positional signatures. One Option type serves every entry point:
+// NewConfig and NewGPU (the machine), RunWorkloadCtx (one workload run),
+// RunExperimentCtx and RunAllExperimentsCtx (the experiment registry),
+// and NewSweep (a sweep grid). Each option's documentation names the
+// entry points it applies to; passed to any other, it makes that entry
+// point return an error naming both. An option built from an invalid
+// value (WithSize(-1), WithDCBandwidth(0), …) makes every entry point it
+// applies to return an error.
+type Option struct {
+	name       string
+	err        error
+	config     func(*gpu.Config)
+	run        func(*workloads.ExecOptions)
+	experiment func(*experiments.Context)
+	sweep      experiments.SweepOption
 }
 
-// RunOption adjusts one RunWorkload execution.
-type RunOption interface {
-	applyRun(*runSettings) error
+// check reports whether o may configure entry: applies tells whether o
+// has a setter for entry's target.
+func (o Option) check(entry string, applies bool) error {
+	if !applies {
+		return fmt.Errorf("intrawarp: %s does not apply to %s", o.name, entry)
+	}
+	return o.err
 }
 
-// ExperimentOption adjusts a RunExperiment or RunAllExperiments sweep.
-type ExperimentOption interface {
-	applyExperiment(*experiments.Context) error
-}
-
-// runSettings collects the effective RunWorkload parameters.
-type runSettings struct {
-	exec       workloads.ExecOptions
-	workers    int
-	hasWorkers bool
-}
-
-type configOptionFunc func(*gpu.Config) error
-
-func (f configOptionFunc) applyConfig(c *gpu.Config) error { return f(c) }
-
-type runOptionFunc func(*runSettings) error
-
-func (f runOptionFunc) applyRun(s *runSettings) error { return f(s) }
-
-type experimentOptionFunc func(*experiments.Context) error
-
-func (f experimentOptionFunc) applyExperiment(c *experiments.Context) error { return f(c) }
-
-// WithSize sets the problem scale of a workload run; 0 selects the
+// WithSize sets the problem scale of a RunWorkloadCtx run; 0 selects the
 // workload's default. Negative sizes are rejected.
-func WithSize(n int) RunOption {
-	return runOptionFunc(func(s *runSettings) error {
-		if n < 0 {
-			return fmt.Errorf("intrawarp: WithSize(%d): size must be non-negative", n)
-		}
-		s.exec.Size = n
-		return nil
-	})
+func WithSize(n int) Option {
+	o := Option{name: "WithSize", run: func(s *workloads.ExecOptions) { s.Size = n }}
+	if n < 0 {
+		o.err = fmt.Errorf("intrawarp: WithSize(%d): size must be non-negative", n)
+	}
+	return o
 }
 
-// WithTimed selects the cycle-level simulator for a workload run; the
-// default is the fast functional model.
-func WithTimed() RunOption {
-	return runOptionFunc(func(s *runSettings) error {
-		s.exec.Timed = true
-		return nil
-	})
+// WithTimed selects the cycle-level simulator for a RunWorkloadCtx run;
+// the default is the fast functional model.
+func WithTimed() Option {
+	return Option{name: "WithTimed", run: func(s *workloads.ExecOptions) { s.Timed = true }}
 }
 
-// WithoutVerify skips the host-side result check of a workload run.
-// Sweeps that re-execute one workload under many machine configurations
-// verify one cell and skip the rest.
-func WithoutVerify() RunOption {
-	return runOptionFunc(func(s *runSettings) error {
-		s.exec.SkipVerify = true
-		return nil
-	})
+// WithoutVerify skips the host-side result check of a RunWorkloadCtx run
+// or of every NewSweep group. Sweeps that re-execute one workload under
+// many machine configurations verify one cell and skip the rest.
+func WithoutVerify() Option {
+	return Option{name: "WithoutVerify",
+		run:   func(s *workloads.ExecOptions) { s.SkipVerify = true },
+		sweep: experiments.SweepSkipChecks()}
 }
 
-// WithOutput directs an experiment's rendering to w; the default is
-// standard output.
-func WithOutput(w io.Writer) ExperimentOption {
-	return experimentOptionFunc(func(c *experiments.Context) error {
-		if w == nil {
-			return fmt.Errorf("intrawarp: WithOutput(nil): writer must be non-nil")
-		}
-		c.Out = w
-		return nil
-	})
+// WithOutput directs the rendering of RunExperimentCtx or
+// RunAllExperimentsCtx to w; the default is standard output.
+func WithOutput(w io.Writer) Option {
+	o := Option{name: "WithOutput", experiment: func(c *experiments.Context) { c.Out = w }}
+	if w == nil {
+		o.err = fmt.Errorf("intrawarp: WithOutput(nil): writer must be non-nil")
+	}
+	return o
 }
 
-// WithQuick selects reduced problem sizes for a fast experiment run.
-func WithQuick() ExperimentOption {
-	return experimentOptionFunc(func(c *experiments.Context) error {
-		c.Quick = true
-		return nil
-	})
+// WithQuick selects reduced problem sizes for RunExperimentCtx and
+// RunAllExperimentsCtx, and for the default-size cells of NewSweep.
+func WithQuick() Option {
+	return Option{name: "WithQuick",
+		experiment: func(c *experiments.Context) { c.Quick = true },
+		sweep:      experiments.SweepQuick()}
 }
 
-// WithPolicy selects the compaction policy of the simulated machine.
-func WithPolicy(p Policy) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		c.EU.Policy = p
-		return nil
-	})
+// WithPolicy selects the compaction policy of the machine built by
+// NewConfig or NewGPU.
+func WithPolicy(p Policy) Option {
+	return Option{name: "WithPolicy", config: func(c *gpu.Config) { c.EU.Policy = p }}
 }
 
 // WithProbe attaches an instrumentation probe to every engine run of the
-// configured GPU (see the Probe interface and NewTimeline). A nil probe
-// disables instrumentation — the default — and keeps the timed loop on
-// its zero-allocation fast path.
-func WithProbe(p Probe) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		c.EU.Probe = p
-		return nil
-	})
+// GPU built by NewConfig or NewGPU (see the Probe interface and
+// NewTimeline). A nil probe disables instrumentation — the default — and
+// keeps the timed loop on its zero-allocation fast path.
+func WithProbe(p Probe) Option {
+	return Option{name: "WithProbe", config: func(c *gpu.Config) { c.EU.Probe = p }}
 }
 
-// WithConfig replaces the whole base configuration; options listed after
-// it refine the given config.
-func WithConfig(cfg Config) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		*c = cfg
-		return nil
-	})
+// WithConfig replaces the whole base configuration of NewConfig or
+// NewGPU; options listed after it refine the given config.
+func WithConfig(cfg Config) Option {
+	return Option{name: "WithConfig", config: func(c *gpu.Config) { *c = cfg }}
 }
 
 // WithDCBandwidth sets the data-cluster bandwidth in cache lines per
-// cycle (the paper's DC1/DC2 axis). Values below 1 are rejected.
-func WithDCBandwidth(lines int) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		if lines < 1 {
-			return fmt.Errorf("intrawarp: WithDCBandwidth(%d): need at least 1 line/cycle", lines)
-		}
-		c.Mem.DCLinesPerCycle = lines
-		return nil
-	})
+// cycle (the paper's DC1/DC2 axis) of the machine built by NewConfig or
+// NewGPU, or of every NewSweep group. Values below 1 are rejected.
+func WithDCBandwidth(lines int) Option {
+	o := Option{name: "WithDCBandwidth",
+		config: func(c *gpu.Config) { c.Mem.DCLinesPerCycle = lines },
+		sweep:  experiments.SweepDCBandwidth(lines)}
+	if lines < 1 {
+		o.err = fmt.Errorf("intrawarp: WithDCBandwidth(%d): need at least 1 line/cycle", lines)
+	}
+	return o
 }
 
 // WithPerfectL3 models an always-hitting L3 (the paper's perfect-L3
-// sensitivity study, Fig. 12).
-func WithPerfectL3() ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		c.Mem.PerfectL3 = true
-		return nil
-	})
+// sensitivity study, Fig. 12) in the machine built by NewConfig or
+// NewGPU, or in every NewSweep group.
+func WithPerfectL3() Option {
+	return Option{name: "WithPerfectL3",
+		config: func(c *gpu.Config) { c.Mem.PerfectL3 = true },
+		sweep:  experiments.SweepPerfectL3()}
 }
 
-// WithEngine selects the timed-run core: EngineEvent (the default)
-// jumps the clock to the next scheduled wakeup, EngineTick steps every
-// cycle. The cores produce bit-identical statistics; tick remains as a
-// differential-testing escape hatch.
-func WithEngine(e Engine) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		c.Engine = e
-		return nil
-	})
+// WithEngine selects the timed-run core of NewConfig or NewGPU:
+// EngineEvent (the default) jumps the clock to the next scheduled
+// wakeup, EngineTick steps every cycle. The cores produce bit-identical
+// statistics; tick remains as a differential-testing escape hatch.
+func WithEngine(e Engine) Option {
+	return Option{name: "WithEngine", config: func(c *gpu.Config) { c.Engine = e }}
 }
 
-// WithMaxCycles sets the timed simulator's hang guard; 0 keeps the
-// default budget. Negative budgets are rejected.
-func WithMaxCycles(n int64) ConfigOption {
-	return configOptionFunc(func(c *gpu.Config) error {
-		if n < 0 {
-			return fmt.Errorf("intrawarp: WithMaxCycles(%d): budget must be non-negative", n)
-		}
-		c.MaxCycles = n
-		return nil
-	})
+// WithMaxCycles sets the timed simulator's hang guard of NewConfig or
+// NewGPU; 0 keeps the default budget. Negative budgets are rejected.
+func WithMaxCycles(n int64) Option {
+	o := Option{name: "WithMaxCycles", config: func(c *gpu.Config) { c.MaxCycles = n }}
+	if n < 0 {
+		o.err = fmt.Errorf("intrawarp: WithMaxCycles(%d): budget must be non-negative", n)
+	}
+	return o
 }
 
-// WorkersOption bounds a host worker pool. It applies in all three
-// option positions: as a ConfigOption it sets the GPU's functional-engine
-// pool, as a RunOption it overrides that pool for one workload run, and
-// as an ExperimentOption it bounds the experiment-cell pool.
-type WorkersOption interface {
-	ConfigOption
-	RunOption
-	ExperimentOption
+// WithWorkers bounds a host worker pool to k goroutines: the functional
+// engine's pool of the GPU built by NewConfig or NewGPU, the
+// experiment-cell pool of RunExperimentCtx and RunAllExperimentsCtx, or
+// the group pool of NewSweep. Values below 1 select
+// runtime.GOMAXPROCS(0); 1 forces serial execution. Parallel runs
+// produce output bit-identical to serial ones (see DESIGN.md §7).
+func WithWorkers(k int) Option {
+	return Option{name: "WithWorkers",
+		config:     func(c *gpu.Config) { c.Workers = k },
+		experiment: func(c *experiments.Context) { c.Workers = k },
+		sweep:      experiments.SweepWorkers(k)}
 }
 
-type workersOption int
-
-func (k workersOption) applyConfig(c *gpu.Config) error {
-	c.Workers = int(k)
-	return nil
+// SweepWorkloads selects the workloads of a NewSweep grid (at least one
+// required). Registered names and generated-corpus names are both
+// accepted; corpus range names expand to one workload per index.
+func SweepWorkloads(names ...string) Option {
+	return Option{name: "SweepWorkloads", sweep: experiments.SweepWorkloads(names...)}
 }
 
-func (k workersOption) applyRun(s *runSettings) error {
-	s.workers, s.hasWorkers = int(k), true
-	return nil
+// SweepPolicies selects the policy axis of a NewSweep grid; the default
+// is all seven.
+func SweepPolicies(ps ...Policy) Option {
+	return Option{name: "SweepPolicies", sweep: experiments.SweepPolicies(ps...)}
 }
 
-func (k workersOption) applyExperiment(c *experiments.Context) error {
-	c.Workers = int(k)
-	return nil
+// SweepWidths selects the SIMD-width axis of a NewSweep grid in lanes
+// (0 = native, the default axis).
+func SweepWidths(ws ...int) Option {
+	return Option{name: "SweepWidths", sweep: experiments.SweepWidths(ws...)}
 }
 
-// WithWorkers bounds the host worker pool to k goroutines. Values below
-// 1 select runtime.GOMAXPROCS(0); 1 forces serial execution. Parallel
-// runs produce output bit-identical to serial ones (see DESIGN.md §7).
-func WithWorkers(k int) WorkersOption { return workersOption(k) }
+// SweepSizes selects the problem-size axis of a NewSweep grid (0 = the
+// workload default, the default axis).
+func SweepSizes(ns ...int) Option {
+	return Option{name: "SweepSizes", sweep: experiments.SweepSizes(ns...)}
+}
+
+// SweepVerify oracle-checks every captured trace of a NewSweep grid
+// record by record.
+func SweepVerify() Option {
+	return Option{name: "SweepVerify", sweep: experiments.SweepVerify()}
+}

@@ -2,9 +2,15 @@ package intrawarp
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"intrawarp/internal/experiments"
 )
 
 // TestNewConfigDefaults checks that option-free construction reproduces
@@ -71,16 +77,117 @@ func TestInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWorkload(g, w, WithSize(-1)); err == nil {
+	if _, err := RunWorkloadCtx(context.Background(), g, w, WithSize(-1)); err == nil {
 		t.Fatal("WithSize(-1) accepted")
 	}
-	if err := RunExperiment("rfarea", WithOutput(nil)); err == nil {
+	if err := RunExperimentCtx(context.Background(), "rfarea", WithOutput(nil)); err == nil {
 		t.Fatal("WithOutput(nil) accepted")
+	}
+	if _, err := NewSweep(SweepWorkloads("bsearch"), WithDCBandwidth(0)); err == nil {
+		t.Fatal("NewSweep with WithDCBandwidth(0) accepted")
+	}
+}
+
+// TestOptionEntryPointMatrix passes every option to every facade entry
+// point. A pairing the option's documentation names must succeed; every
+// other pairing must fail with an error naming both the option and the
+// entry point. The runs use a cancelled context, so an applicable
+// pairing that simulates stops with context.Canceled at its first
+// cancellation check.
+func TestOptionEntryPointMatrix(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	w, err := WorkloadByName("bsearch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewGPU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []struct {
+		name string
+		call func(Option) error
+	}{
+		{"NewConfig", func(o Option) error { _, err := NewConfig(o); return err }},
+		{"NewGPU", func(o Option) error { _, err := NewGPU(o); return err }},
+		{"RunWorkloadCtx", func(o Option) error { _, err := RunWorkloadCtx(cancelled, g, w, o); return err }},
+		{"RunExperimentCtx", func(o Option) error {
+			return RunExperimentCtx(cancelled, "table3", WithOutput(io.Discard), o)
+		}},
+		{"RunAllExperimentsCtx", func(o Option) error {
+			return RunAllExperimentsCtx(cancelled, WithOutput(io.Discard), o)
+		}},
+		{"NewSweep", func(o Option) error { _, err := NewSweep(SweepWorkloads("bsearch"), o); return err }},
+	}
+	const (
+		config     = "NewConfig NewGPU"
+		experiment = "RunExperimentCtx RunAllExperimentsCtx"
+	)
+	options := []struct {
+		name      string
+		opt       Option
+		appliesTo string
+	}{
+		{"WithSize", WithSize(256), "RunWorkloadCtx"},
+		{"WithTimed", WithTimed(), "RunWorkloadCtx"},
+		{"WithoutVerify", WithoutVerify(), "RunWorkloadCtx NewSweep"},
+		{"WithOutput", WithOutput(io.Discard), experiment},
+		{"WithQuick", WithQuick(), experiment + " NewSweep"},
+		{"WithPolicy", WithPolicy(SCC), config},
+		{"WithProbe", WithProbe(nil), config},
+		{"WithConfig", WithConfig(DefaultConfig()), config},
+		{"WithDCBandwidth", WithDCBandwidth(2), config + " NewSweep"},
+		{"WithPerfectL3", WithPerfectL3(), config + " NewSweep"},
+		{"WithEngine", WithEngine(EngineTick), config},
+		{"WithMaxCycles", WithMaxCycles(1 << 20), config},
+		{"WithWorkers", WithWorkers(2), config + " " + experiment + " NewSweep"},
+		{"SweepWorkloads", SweepWorkloads("urng"), "NewSweep"},
+		{"SweepPolicies", SweepPolicies(SCC), "NewSweep"},
+		{"SweepWidths", SweepWidths(8), "NewSweep"},
+		{"SweepSizes", SweepSizes(256), "NewSweep"},
+		{"SweepVerify", SweepVerify(), "NewSweep"},
+	}
+	for _, o := range options {
+		applies := strings.Fields(o.appliesTo)
+		for _, e := range entries {
+			err := e.call(o.opt)
+			if slices.Contains(applies, e.name) {
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("%s refused by %s, which it applies to: %v", o.name, e.name, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), o.name) || !strings.Contains(err.Error(), e.name) {
+				t.Errorf("%s passed to %s: got %v, want an error naming both", o.name, e.name, err)
+			}
+		}
+	}
+}
+
+// TestSweepOptionsMatchEngine checks that the shared options configure a
+// sweep exactly as the engine's own sweep options do.
+func TestSweepOptionsMatchEngine(t *testing.T) {
+	got, err := NewSweep(SweepWorkloads("bsearch"), SweepPolicies(SCC, BCC), SweepWidths(8),
+		SweepSizes(256), SweepVerify(), WithQuick(), WithWorkers(3), WithDCBandwidth(2),
+		WithPerfectL3(), WithoutVerify())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.NewSweep(experiments.SweepWorkloads("bsearch"),
+		experiments.SweepPolicies(SCC, BCC), experiments.SweepWidths(8), experiments.SweepSizes(256),
+		experiments.SweepVerify(), experiments.SweepQuick(), experiments.SweepWorkers(3),
+		experiments.SweepDCBandwidth(2), experiments.SweepPerfectL3(), experiments.SweepSkipChecks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("facade sweep %+v, engine sweep %+v", got, want)
 	}
 }
 
 // TestRunWorkloadOptions checks defaults (functional model, default
-// size), WithTimed, and the per-run WithWorkers override.
+// size), WithTimed, and that a run uses the worker pool of its GPU.
 func TestRunWorkloadOptions(t *testing.T) {
 	w, err := WorkloadByName("bsearch")
 	if err != nil {
@@ -90,7 +197,8 @@ func TestRunWorkloadOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunWorkload(g, w, WithSize(256))
+	ctx := context.Background()
+	run, err := RunWorkloadCtx(ctx, g, w, WithSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +207,7 @@ func TestRunWorkloadOptions(t *testing.T) {
 	}
 
 	g, _ = NewGPU()
-	timed, err := RunWorkload(g, w, WithSize(256), WithTimed())
+	timed, err := RunWorkloadCtx(ctx, g, w, WithSize(256), WithTimed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,23 +215,19 @@ func TestRunWorkloadOptions(t *testing.T) {
 		t.Fatal("WithTimed produced no cycle count")
 	}
 
-	// A per-run worker override must not disturb determinism or leak into
-	// the GPU's config.
+	// The GPU's worker pool must not disturb determinism.
 	g, _ = NewGPU(WithWorkers(1))
-	serial, err := RunWorkload(g, w, WithSize(256))
+	serial, err := RunWorkloadCtx(ctx, g, w, WithSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, _ := NewGPU(WithWorkers(1))
-	parallel, err := RunWorkload(g2, w, WithSize(256), WithWorkers(8))
+	g, _ = NewGPU(WithWorkers(8))
+	parallel, err := RunWorkloadCtx(ctx, g, w, WithSize(256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("WithWorkers(8) run diverged from serial statistics")
-	}
-	if g2.Cfg.Workers != 1 {
-		t.Fatalf("per-run WithWorkers leaked into GPU config: %d", g2.Cfg.Workers)
+		t.Fatal("an 8-worker GPU's run diverged from serial statistics")
 	}
 }
 
@@ -134,7 +238,7 @@ func TestRunAllExperimentsFacade(t *testing.T) {
 		t.Skip("full experiment sweep")
 	}
 	var buf bytes.Buffer
-	if err := RunAllExperiments(WithOutput(&buf), WithQuick()); err != nil {
+	if err := RunAllExperimentsCtx(context.Background(), WithOutput(&buf), WithQuick()); err != nil {
 		t.Fatal(err)
 	}
 	first := strings.Index(buf.String(), "== ")
