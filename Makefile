@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCalendar -fuzztime $(FUZZTIME) ./internal/gpu/
 	$(GO) test -run '^$$' -fuzz FuzzMetamorphicCycles -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzKernelGen -fuzztime $(FUZZTIME) ./internal/kgen/
+	$(GO) test -run '^$$' -fuzz FuzzLaneLoop -fuzztime $(FUZZTIME) ./internal/eu/
 
 # corpus runs the seeded kernel corpus through the full differential
 # pipeline: every generated kernel checked against its straight-line

@@ -5,7 +5,7 @@
 //
 //	simd-asm -assemble k.sasm -o k.skrn       text → binary program
 //	simd-asm -disassemble k.skrn              binary → text
-//	simd-asm -validate k.sasm                 parse + static checks only
+//	simd-asm -validate k.sasm                 parse, static checks and decode; no run
 //	simd-asm -run k.sasm -width 16 -n 128 -out-words 128
 //	    run the kernel: one buffer of out-words words is allocated,
 //	    its address passed as argument 0, and its contents dumped.
@@ -19,6 +19,7 @@ import (
 
 	"intrawarp/internal/asm"
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/eu"
 	"intrawarp/internal/gpu"
 	"intrawarp/internal/isa"
 )
@@ -61,6 +62,12 @@ func main() {
 		fmt.Print(prog.Disassemble())
 	case *validate != "":
 		prog := mustAssemble(*validate)
+		// Decode is the launch-time check: it rejects operands past the
+		// register file, immediate destinations and operations with no
+		// lane loop, which the assembler's static checks let through.
+		if _, err := eu.Decode(cliKernel(prog, *width)); err != nil {
+			fatal("simd-asm: %s: %v", *validate, err)
+		}
 		fmt.Printf("%s: %d instructions, valid\n", *validate, len(prog))
 	case *run != "":
 		prog := mustAssemble(*run)
@@ -92,7 +99,7 @@ func runKernel(prog isa.Program, width, n, group, outWords int, policyStr string
 	}
 	g := gpu.New(cfg)
 	buf := g.AllocU32(outWords, make([]uint32, outWords))
-	k := &isa.Kernel{Name: "cli", Program: prog, Width: isa.Width(width)}
+	k := cliKernel(prog, width)
 	runStats, err := g.RunCtx(context.Background(), gpu.LaunchSpec{Kernel: k, GlobalSize: n,
 		GroupSize: group, Args: []uint32{buf}})
 	if err != nil {
@@ -108,6 +115,12 @@ func runKernel(prog isa.Program, width, n, group, outWords int, policyStr string
 		}
 		fmt.Println()
 	}
+}
+
+// cliKernel wraps an assembled program as the kernel -validate and -run
+// check and launch.
+func cliKernel(prog isa.Program, width int) *isa.Kernel {
+	return &isa.Kernel{Name: "cli", Program: prog, Width: isa.Width(width)}
 }
 
 func fatal(format string, args ...interface{}) {

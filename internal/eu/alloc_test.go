@@ -40,7 +40,7 @@ var timedAllocMasks = []mask.Mask{0xAAAA, 0x5555, 0xF0F0, 0x137F, 0x8001, 0xFFFF
 // Every probe site in the EU is nil-guarded; this test proves the
 // disabled fast path builds no event values and boxes no interfaces.
 func TestTimedExecutionZeroAlloc(t *testing.T) {
-	p := divergentLoopProgram(24)
+	p := mustDecode(divergentLoopProgram(24))
 	e, sys := newTestEU(compaction.SCC)
 	e.Cfg.Arbiter = ArbiterAgeBased // cover the sorting arbiter too
 	if e.probe != nil {
@@ -74,11 +74,15 @@ func TestTimedExecutionZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkEUExecute measures the timed EU loop on the divergent ALU
-// kernel: six threads, distinct masks, SCC compaction.
+// kernel: six threads, distinct masks, SCC compaction. The cycle counter
+// runs on across iterations, as the EU's pipe and writeback deadlines
+// are absolute: restarting it at zero would leave each iteration waiting
+// out the previous ones' deadlines, and ns/op would grow with b.N.
 func BenchmarkEUExecute(b *testing.B) {
-	p := divergentLoopProgram(24)
+	p := mustDecode(divergentLoopProgram(24))
 	e, sys := newTestEU(compaction.SCC)
 	run := stats.NewRun("bench", 16)
+	var cycle int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,7 +91,6 @@ func BenchmarkEUExecute(b *testing.B) {
 			th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
 			th.Stats = run
 		}
-		var cycle int64
 		for {
 			sys.Tick(cycle)
 			e.Tick(cycle)
@@ -102,7 +105,7 @@ func BenchmarkEUExecute(b *testing.B) {
 // BenchmarkThreadStep measures the functional interpreter alone on the
 // divergent kernel (no timing model).
 func BenchmarkThreadStep(b *testing.B) {
-	p := divergentLoopProgram(24)
+	p := mustDecode(divergentLoopProgram(24))
 	e, sys := newTestEU(compaction.SCC)
 	th := e.Threads[0]
 	b.ReportAllocs()

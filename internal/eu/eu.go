@@ -140,70 +140,26 @@ func New(id int, cfg Config, mem *memory.System) *EU {
 	return e
 }
 
-// operandSpan returns the GRF byte range an operand covers at the given
-// width and element size, and whether it touches the GRF at all.
-func operandSpan(o isa.Operand, width, size int) (span, bool) {
-	switch o.Kind {
-	case isa.RegGRF:
-		lo := o.ByteOffset()
-		return span{lo, lo + width*size}, true
-	case isa.RegScalar:
-		lo := o.ByteOffset()
-		return span{lo, lo + size}, true
-	default:
-		return span{}, false
-	}
-}
-
-// readsFlag reports whether the instruction consumes a flag register, and
-// which one.
-func readsFlag(in *isa.Instruction) (int, bool) {
-	if in.Pred != isa.PredNone || in.Op == isa.OpSel || in.Op == isa.OpWhile {
-		return int(in.Flag), true
-	}
-	return 0, false
-}
-
 // depsClear checks the per-thread scoreboard: no pending write overlaps
 // this instruction's sources or destination, and any consumed or produced
-// flag has no in-flight writer.
-func (e *EU) depsClear(ti int, in *isa.Instruction) bool {
+// flag has no in-flight writer. The spans and flags come from decode.
+func (e *EU) depsClear(ti int, d *decoded) bool {
+	sb, fb := e.sb[ti], e.flagBusy[ti]
 	// Nothing pending for this thread: every check below passes.
-	if len(e.sb[ti]) == 0 && e.flagBusy[ti][0] == 0 && e.flagBusy[ti][1] == 0 {
+	if len(sb) == 0 && fb[0] == 0 && fb[1] == 0 {
 		return true
 	}
-	width := int(in.Width)
-	size := in.DType.Size()
-	check := func(o isa.Operand, sz int) bool {
-		s, ok := operandSpan(o, width, sz)
-		if !ok {
-			return true
-		}
-		for _, p := range e.sb[ti] {
+	for _, p := range sb {
+		for _, s := range d.reads[:d.nreads] {
 			if p.overlaps(s) {
 				return false
 			}
 		}
-		return true
+		if d.hasWAW && p.overlaps(d.waw) {
+			return false
+		}
 	}
-	// Address payloads of SENDs are 32-bit regardless of DType.
-	srcSize := size
-	if in.Op == isa.OpSend {
-		srcSize = 4
-	}
-	if !check(in.Src0, srcSize) || !check(in.Src1, srcSize) || !check(in.Src2, srcSize) {
-		return false
-	}
-	if !check(in.Dst, size) { // WAW
-		return false
-	}
-	if f, ok := readsFlag(in); ok && e.flagBusy[ti][f] > 0 {
-		return false
-	}
-	if in.Op == isa.OpCmp && e.flagBusy[ti][in.Flag] > 0 {
-		return false
-	}
-	return true
+	return !(d.flags&1 != 0 && fb[0] > 0 || d.flags&2 != 0 && fb[1] > 0)
 }
 
 // Tick advances the EU by one cycle: writebacks first, then (on
@@ -244,8 +200,8 @@ func (e *EU) Tick(now int64) {
 			sawFrontend = true
 			continue
 		}
-		in := th.Next()
-		if !e.depsClear(ti, in) {
+		d := th.next()
+		if !e.depsClear(ti, d) {
 			if e.outstanding[ti] > 0 {
 				sawMemory = true
 			} else {
@@ -253,7 +209,7 @@ func (e *EU) Tick(now int64) {
 			}
 			continue
 		}
-		pipe := isa.PipeOf(in.Op)
+		pipe := d.pipe
 		switch pipe {
 		case isa.PipeFPU, isa.PipeEM:
 			// The pipe must be able to start this instruction within the
@@ -309,7 +265,8 @@ func (e *EU) Tick(now int64) {
 // reservation of the destination, and memory-request dispatch for SENDs.
 func (e *EU) issue(ti int, now int64) {
 	th := e.Threads[ti]
-	in := th.Next()
+	d := th.next()
+	in := d.in
 	ipBefore := th.IP
 	res := th.Step(e.mem.Mem)
 	e.lastIssue[ti] = now
@@ -333,10 +290,7 @@ func (e *EU) issue(ti int, now int64) {
 		if th.Stats != nil {
 			th.Stats.LaneCycles += cycles * int64(res.Group)
 			done, saved := e.Cfg.Policy.GroupFetchCounts(res.Mask, res.Width, res.Group)
-			ops := in.NumSources()
-			if in.Dst.Kind == isa.RegGRF {
-				ops++
-			}
+			ops := d.fetchOps
 			th.Stats.QuadFetches += int64(done * ops)
 			if saved > 0 {
 				th.Stats.OperandFetchesSaved += int64(saved * ops)
@@ -365,14 +319,13 @@ func (e *EU) issue(ti int, now int64) {
 			e.emitQuads(ti, res, start)
 		}
 
-		ev := wbEvent{at: start + int64(e.Cfg.PipeDepth) + cycles, thread: ti, flag: -1}
-		if s, ok := operandSpan(in.Dst, res.Width, in.DType.Size()); ok {
-			ev.dst, ev.hasDst = s, true
-			e.sb[ti] = append(e.sb[ti], s)
+		ev := wbEvent{at: start + int64(e.Cfg.PipeDepth) + cycles, thread: ti, flag: d.setFlag}
+		if d.hasResv {
+			ev.dst, ev.hasDst = d.resv, true
+			e.sb[ti] = append(e.sb[ti], d.resv)
 		}
-		if in.Op == isa.OpCmp {
-			ev.flag = int(in.Flag)
-			e.flagBusy[ti][in.Flag]++
+		if d.setFlag >= 0 {
+			e.flagBusy[ti][d.setFlag]++
 		}
 		if ev.hasDst || ev.flag >= 0 {
 			e.addWB(ev)
@@ -402,14 +355,14 @@ func (e *EU) issue(ti int, now int64) {
 					Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
 				})
 			}
-			e.scheduleSendWB(ti, in, res, ready)
+			e.scheduleSendWB(ti, d, ready)
 		default:
 			// Global memory: enqueue the coalesced lines; the destination
 			// stays reserved until the data cluster returns the data.
 			c := e.getComp(ti)
-			if s, ok := operandSpan(in.Dst, res.Width, 4); ok && in.Send.IsLoad() {
-				e.sb[ti] = append(e.sb[ti], s)
-				c.dst, c.hasDst = s, true
+			if d.hasResv {
+				e.sb[ti] = append(e.sb[ti], d.resv)
+				c.dst, c.hasDst = d.resv, true
 			}
 			if e.probe != nil {
 				e.probe.InstrIssued(obs.IssueEvent{
@@ -432,7 +385,7 @@ func (e *EU) issue(ti int, now int64) {
 // accounting of Policy.Cycles so the emitted schedule length equals the
 // charged occupancy. Only called with a probe attached; allocates nothing
 // except under SCC, where the crossbar schedule is materialized.
-func (e *EU) emitQuads(ti int, res ExecResult, start int64) {
+func (e *EU) emitQuads(ti int, res *ExecResult, start int64) {
 	m := res.Mask.Trunc(res.Width)
 	n := mask.QuadCount(res.Width, res.Group)
 	idx := 0
@@ -569,10 +522,10 @@ func (e *EU) getComp(ti int) *sendComp {
 }
 
 // scheduleSendWB reserves and later clears the destination of an SLM load.
-func (e *EU) scheduleSendWB(ti int, in *isa.Instruction, res ExecResult, ready int64) {
-	if s, ok := operandSpan(in.Dst, res.Width, 4); ok && in.Send.IsLoad() {
-		e.sb[ti] = append(e.sb[ti], s)
-		e.addWB(wbEvent{at: ready, thread: ti, dst: s, hasDst: true, flag: -1})
+func (e *EU) scheduleSendWB(ti int, d *decoded, ready int64) {
+	if d.hasResv {
+		e.sb[ti] = append(e.sb[ti], d.resv)
+		e.addWB(wbEvent{at: ready, thread: ti, dst: d.resv, hasDst: true, flag: -1})
 	}
 }
 

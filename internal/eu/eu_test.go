@@ -17,11 +17,20 @@ func newTestEU(policy compaction.Policy) (*EU, *memory.System) {
 	return New(0, cfg, sys), sys
 }
 
+// mustDecode decodes a test program, panicking on a decode fault.
+func mustDecode(p isa.Program) *Program {
+	prog, err := Decode(&isa.Kernel{Name: "test", Program: p})
+	if err != nil {
+		panic(err)
+	}
+	return prog
+}
+
 // loadThread installs a program on thread slot ti with the given active
 // mask (the dispatch mask stays full SIMD16).
 func loadThread(e *EU, ti int, p isa.Program, active mask.Mask) *Thread {
 	th := e.Threads[ti]
-	th.Reset(p, 16, 0xFFFF)
+	th.Reset(mustDecode(p), 16, 0xFFFF)
 	th.Active = active
 	th.Stats = stats.NewRun("t", 16)
 	return th

@@ -1,10 +1,6 @@
 package eu
 
 import (
-	"fmt"
-	"math"
-	"math/bits"
-
 	"intrawarp/internal/isa"
 	"intrawarp/internal/mask"
 	"intrawarp/internal/memory"
@@ -29,446 +25,58 @@ type ExecResult struct {
 	Done       bool // thread executed HALT
 }
 
-func sizeMask(dt isa.DataType) uint64 {
-	switch dt.Size() {
-	case 2:
-		return 0xFFFF
-	case 8:
-		return ^uint64(0)
-	default:
-		return 0xFFFFFFFF
-	}
-}
-
-// readElem reads one lane element of an operand.
-func (t *Thread) readElem(o isa.Operand, lane int, dt isa.DataType) uint64 {
-	size := dt.Size()
-	var off int
-	switch o.Kind {
-	case isa.RegImm:
-		return o.Imm & sizeMask(dt)
-	case isa.RegNull:
-		return 0
-	case isa.RegScalar:
-		off = o.ByteOffset()
-	default:
-		off = o.ByteOffset() + lane*size
-	}
-	switch size {
-	case 2:
-		return uint64(t.GRF.ReadU16(off))
-	case 8:
-		return t.GRF.ReadU64(off)
-	default:
-		return uint64(t.GRF.ReadU32(off))
-	}
-}
-
-// writeElem writes one lane element of the destination operand.
-func (t *Thread) writeElem(o isa.Operand, lane int, dt isa.DataType, v uint64) {
-	if o.Kind == isa.RegNull {
-		return
-	}
-	size := dt.Size()
-	off := o.ByteOffset()
-	if o.Kind != isa.RegScalar {
-		off += lane * size
-	}
-	switch size {
-	case 2:
-		t.GRF.WriteU16(off, uint16(v))
-	case 8:
-		t.GRF.WriteU64(off, v)
-	default:
-		t.GRF.WriteU32(off, uint32(v))
-	}
-}
-
-func f32(v uint64) float32     { return math.Float32frombits(uint32(v)) }
-func fromF32(v float32) uint64 { return uint64(math.Float32bits(v)) }
-func f64(v uint64) float64     { return math.Float64frombits(v) }
-func fromF64(v float64) uint64 { return math.Float64bits(v) }
-
-// madf32 computes x*y+z with the product explicitly rounded to float32
-// first. Go may otherwise fuse x*y+z into an FMA on some architectures,
-// which would make kernel results platform-dependent; the simulated
-// hardware rounds each operation.
-func madf32(x, y, z float32) float32 {
-	m := x * y
-	return m + z
-}
-
-// madf64 is the float64 analogue of madf32.
-func madf64(x, y, z float64) float64 {
-	m := x * y
-	return m + z
-}
-
-// alu computes one lane of a data instruction.
-func alu(op isa.Opcode, dt isa.DataType, a, b, c uint64) uint64 {
-	// Integer and bitwise operations are type-width generic.
-	switch op {
-	case isa.OpNop:
-		return 0
-	case isa.OpMov:
-		return a & sizeMask(dt)
-	case isa.OpNot:
-		return ^a & sizeMask(dt)
-	case isa.OpAnd:
-		return a & b
-	case isa.OpOr:
-		return a | b
-	case isa.OpXor:
-		return a ^ b
-	case isa.OpShl:
-		return (a << (b & 63)) & sizeMask(dt)
-	case isa.OpShr:
-		return (a & sizeMask(dt)) >> (b & 63)
-	case isa.OpAsr:
-		switch dt.Size() {
-		case 8:
-			return uint64(int64(a) >> (b & 63))
-		default:
-			return uint64(uint32(int32(uint32(a)) >> (b & 31)))
-		}
-	}
-
-	switch dt {
-	case isa.F32:
-		x, y, z := f32(a), f32(b), f32(c)
-		switch op {
-		case isa.OpAdd:
-			return fromF32(x + y)
-		case isa.OpSub:
-			return fromF32(x - y)
-		case isa.OpMul:
-			return fromF32(x * y)
-		case isa.OpMad:
-			return fromF32(madf32(x, y, z))
-		case isa.OpMin:
-			return fromF32(float32(math.Min(float64(x), float64(y))))
-		case isa.OpMax:
-			return fromF32(float32(math.Max(float64(x), float64(y))))
-		case isa.OpAbs:
-			return fromF32(float32(math.Abs(float64(x))))
-		case isa.OpFrc:
-			return fromF32(x - float32(math.Floor(float64(x))))
-		case isa.OpFlr:
-			return fromF32(float32(math.Floor(float64(x))))
-		case isa.OpCvt:
-			return uint64(uint32(int32(x)))
-		case isa.OpDiv:
-			return fromF32(x / y)
-		case isa.OpSqrt:
-			return fromF32(float32(math.Sqrt(float64(x))))
-		case isa.OpRsqrt:
-			return fromF32(float32(1 / math.Sqrt(float64(x))))
-		case isa.OpInv:
-			return fromF32(1 / x)
-		case isa.OpSin:
-			return fromF32(float32(math.Sin(float64(x))))
-		case isa.OpCos:
-			return fromF32(float32(math.Cos(float64(x))))
-		case isa.OpExp:
-			return fromF32(float32(math.Exp2(float64(x))))
-		case isa.OpLog:
-			return fromF32(float32(math.Log2(float64(x))))
-		case isa.OpPow:
-			return fromF32(float32(math.Pow(float64(x), float64(y))))
-		}
-	case isa.F64:
-		x, y, z := f64(a), f64(b), f64(c)
-		switch op {
-		case isa.OpAdd:
-			return fromF64(x + y)
-		case isa.OpSub:
-			return fromF64(x - y)
-		case isa.OpMul:
-			return fromF64(x * y)
-		case isa.OpMad:
-			return fromF64(madf64(x, y, z))
-		case isa.OpMin:
-			return fromF64(math.Min(x, y))
-		case isa.OpMax:
-			return fromF64(math.Max(x, y))
-		case isa.OpAbs:
-			return fromF64(math.Abs(x))
-		case isa.OpSqrt:
-			return fromF64(math.Sqrt(x))
-		case isa.OpDiv:
-			return fromF64(x / y)
-		case isa.OpCvt:
-			return uint64(int64(x))
-		}
-	case isa.S32:
-		x, y, z := int32(uint32(a)), int32(uint32(b)), int32(uint32(c))
-		switch op {
-		case isa.OpAdd:
-			return uint64(uint32(x + y))
-		case isa.OpSub:
-			return uint64(uint32(x - y))
-		case isa.OpMul:
-			return uint64(uint32(x * y))
-		case isa.OpMad:
-			return uint64(uint32(x*y + z))
-		case isa.OpMin:
-			if x < y {
-				return uint64(uint32(x))
-			}
-			return uint64(uint32(y))
-		case isa.OpMax:
-			if x > y {
-				return uint64(uint32(x))
-			}
-			return uint64(uint32(y))
-		case isa.OpAbs:
-			if x < 0 {
-				return uint64(uint32(-x))
-			}
-			return uint64(uint32(x))
-		case isa.OpCvt:
-			return fromF32(float32(x))
-		case isa.OpDiv:
-			if y == 0 {
-				return 0
-			}
-			return uint64(uint32(x / y))
-		}
-	default: // U32, U64, U16, F16 handled as unsigned integers
-		x, y, z := a&sizeMask(dt), b&sizeMask(dt), c&sizeMask(dt)
-		switch op {
-		case isa.OpAdd:
-			return (x + y) & sizeMask(dt)
-		case isa.OpSub:
-			return (x - y) & sizeMask(dt)
-		case isa.OpMul:
-			return (x * y) & sizeMask(dt)
-		case isa.OpMad:
-			return (x*y + z) & sizeMask(dt)
-		case isa.OpMin:
-			if x < y {
-				return x
-			}
-			return y
-		case isa.OpMax:
-			if x > y {
-				return x
-			}
-			return y
-		case isa.OpAbs:
-			return x
-		case isa.OpCvt:
-			return fromF32(float32(x))
-		case isa.OpDiv:
-			if y == 0 {
-				return 0
-			}
-			return x / y
-		}
-	}
-	panic(fmt.Sprintf("eu: unimplemented op %s for %s", op, dt))
-}
-
-// compare evaluates the CMP condition for one lane.
-func compare(cond isa.CondMod, dt isa.DataType, a, b uint64) bool {
-	var lt, eq bool
-	switch dt {
-	case isa.F32:
-		x, y := f32(a), f32(b)
-		lt, eq = x < y, x == y
-	case isa.F64:
-		x, y := f64(a), f64(b)
-		lt, eq = x < y, x == y
-	case isa.S32:
-		x, y := int32(uint32(a)), int32(uint32(b))
-		lt, eq = x < y, x == y
-	default:
-		x, y := a&sizeMask(dt), b&sizeMask(dt)
-		lt, eq = x < y, x == y
-	}
-	switch cond {
-	case isa.CmpEQ:
-		return eq
-	case isa.CmpNE:
-		return !eq
-	case isa.CmpLT:
-		return lt
-	case isa.CmpLE:
-		return lt || eq
-	case isa.CmpGT:
-		return !lt && !eq
-	case isa.CmpGE:
-		return !lt
-	}
-	return false
-}
-
 // Step functionally executes the instruction at the thread's IP against
 // the given backing store and returns the timing-relevant result. The
 // caller (the EU timing model or the functional-only driver) is
-// responsible for cycle accounting.
-func (t *Thread) Step(mem *memory.Flat) ExecResult {
-	in := t.Next()
-	width := int(in.Width)
-	group := in.DType.GroupSize()
-	res := ExecResult{Instr: in, Width: width, Group: group, Pipe: isa.PipeOf(in.Op)}
+// responsible for cycle accounting. The result is the thread's own
+// scratch: it is valid, like the Lines and SLMOffsets it aliases, only
+// until the thread's next Step.
+func (t *Thread) Step(mem *memory.Flat) *ExecResult {
+	d := t.next()
+	res := &t.res
+	*res = ExecResult{Instr: d.in, Width: d.width, Group: d.group, Pipe: d.pipe}
 
-	if isa.IsControl(in.Op) {
-		res.Mask = t.controlStep(in)
+	if d.class == classControl {
+		res.Mask = t.controlStep(d.in)
 		res.Done = t.State == ThreadDone
 		t.record(res)
 		return res
 	}
 
-	em := t.ExecMask(in)
+	em := t.ExecMask(d.in)
 	res.Mask = em
-
-	switch in.Op {
-	case isa.OpBarrier:
+	switch d.class {
+	case classLanes:
+		d.run(t, d, uint32(em), mem)
+	case classSend:
+		d.run(t, d, uint32(em), mem)
+		if d.in.Send.IsSLM() {
+			if len(t.slmBuf) > 0 {
+				res.SLMOffsets = t.slmBuf
+			}
+		} else {
+			t.lineBuf = memory.CoalesceLinesInto(t.lineBuf, t.addrBuf)
+			res.Lines = t.lineBuf
+		}
+	case classBarrier:
 		res.IsBarrier = true
 		t.State = ThreadBarrier
 		if t.Stats != nil {
 			t.Stats.Barriers++
 		}
-		t.IP++
-	case isa.OpFence:
-		t.IP++
-	case isa.OpSend:
-		t.execSend(in, em, mem, &res)
-		t.IP++
-	case isa.OpCmp:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			a := t.readElem(in.Src0, lane, in.DType)
-			b := t.readElem(in.Src1, lane, in.DType)
-			bit := uint32(1) << uint(lane)
-			if compare(in.Cond, in.DType, a, b) {
-				t.Flags[in.Flag] |= bit
-			} else {
-				t.Flags[in.Flag] &^= bit
-			}
-		}
-		t.IP++
-	case isa.OpSel:
-		flag := t.Flags[in.Flag]
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			var val uint64
-			if flag&(1<<uint(lane)) != 0 {
-				val = t.readElem(in.Src0, lane, in.DType)
-			} else {
-				val = t.readElem(in.Src1, lane, in.DType)
-			}
-			t.writeElem(in.Dst, lane, in.DType, val)
-		}
-		t.IP++
-	case isa.OpNop:
-		t.IP++
-	default:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			a := t.readElem(in.Src0, lane, in.DType)
-			b := t.readElem(in.Src1, lane, in.DType)
-			c := t.readElem(in.Src2, lane, in.DType)
-			t.writeElem(in.Dst, lane, in.DType, alu(in.Op, in.DType, a, b, c))
-		}
-		t.IP++
 	}
+	t.IP++
 	t.record(res)
 	return res
 }
 
 // record feeds the per-thread statistics accumulator.
-func (t *Thread) record(res ExecResult) {
+func (t *Thread) record(res *ExecResult) {
 	if t.Stats == nil {
 		return
 	}
 	t.Stats.RecordInstr(res.Width, res.Group, res.Mask)
 	if len(res.Lines) > 0 {
 		t.Stats.RecordSend(len(res.Lines))
-	}
-}
-
-// execSend performs the functional memory operation and computes the
-// coalesced line set (memory divergence) for timing. Address, line, and
-// SLM-offset staging reuses per-thread scratch buffers, so steady-state
-// SEND execution allocates nothing; the resulting res.Lines/res.SLMOffsets
-// alias that scratch (see ExecResult).
-func (t *Thread) execSend(in *isa.Instruction, em mask.Mask, mem *memory.Flat, res *ExecResult) {
-	addrs := t.addrBuf[:0]
-	slm := t.slmBuf[:0]
-	global := true
-	switch in.Send {
-	case isa.SendLoadGather:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := uint32(t.readElem(in.Src0, lane, isa.U32))
-			addrs = append(addrs, addr)
-			t.writeElem(in.Dst, lane, isa.U32, uint64(mem.ReadU32(addr)))
-		}
-	case isa.SendStoreScatter:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := uint32(t.readElem(in.Src0, lane, isa.U32))
-			addrs = append(addrs, addr)
-			mem.WriteU32(addr, uint32(t.readElem(in.Src1, lane, isa.U32)))
-		}
-	case isa.SendLoadBlock:
-		base := uint32(t.readElem(in.Src0, 0, isa.U32))
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := base + uint32(lane)*4
-			addrs = append(addrs, addr)
-			t.writeElem(in.Dst, lane, isa.U32, uint64(mem.ReadU32(addr)))
-		}
-	case isa.SendStoreBlock:
-		base := uint32(t.readElem(in.Src0, 0, isa.U32))
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := base + uint32(lane)*4
-			addrs = append(addrs, addr)
-			mem.WriteU32(addr, uint32(t.readElem(in.Src1, lane, isa.U32)))
-		}
-	case isa.SendLoadSLM:
-		global = false
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			off := uint32(t.readElem(in.Src0, lane, isa.U32))
-			slm = append(slm, off)
-			t.writeElem(in.Dst, lane, isa.U32, uint64(t.SLM.ReadU32(off)))
-		}
-	case isa.SendStoreSLM:
-		global = false
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			off := uint32(t.readElem(in.Src0, lane, isa.U32))
-			slm = append(slm, off)
-			t.SLM.WriteU32(off, uint32(t.readElem(in.Src1, lane, isa.U32)))
-		}
-	case isa.SendAtomicAdd:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := uint32(t.readElem(in.Src0, lane, isa.U32))
-			addrs = append(addrs, addr)
-			old := mem.AtomicAdd(addr, uint32(t.readElem(in.Src1, lane, isa.U32)))
-			t.writeElem(in.Dst, lane, isa.U32, uint64(old))
-		}
-	case isa.SendAtomicMin:
-		for v := uint32(em); v != 0; v &= v - 1 {
-			lane := bits.TrailingZeros32(v)
-			addr := uint32(t.readElem(in.Src0, lane, isa.U32))
-			addrs = append(addrs, addr)
-			old := mem.AtomicMin(addr, uint32(t.readElem(in.Src1, lane, isa.U32)))
-			t.writeElem(in.Dst, lane, isa.U32, uint64(old))
-		}
-	default:
-		panic(fmt.Sprintf("eu: unimplemented send %d", in.Send))
-	}
-	t.addrBuf, t.slmBuf = addrs, slm
-	if global {
-		t.lineBuf = memory.CoalesceLinesInto(t.lineBuf, addrs)
-		res.Lines = t.lineBuf
-	} else if len(slm) > 0 {
-		res.SLMOffsets = slm
 	}
 }

@@ -9,10 +9,37 @@ import (
 	"intrawarp/internal/memory"
 )
 
-// evalLane runs a single ALU op on one lane's raw element bits. The
+// evalLane runs a single ALU op on one lane's raw element bits through
+// its decoded lane loop: a SIMD1 instruction with immediate sources. The
 // *testing.T parameter keeps call sites uniform; it may be nil.
 func evalLane(_ *testing.T, op isa.Opcode, dt isa.DataType, a, b, c uint64) uint64 {
-	return alu(op, dt, a, b, c)
+	imm := func(v uint64) isa.Operand { return isa.Operand{Kind: isa.RegImm, Imm: v} }
+	th := &Thread{}
+	th.Reset(mustDecode(isa.Program{
+		{Op: op, Width: isa.SIMD1, DType: dt, Dst: isa.GRF(10), Src0: imm(a), Src1: imm(b), Src2: imm(c)},
+		{Op: isa.OpHalt, Width: isa.SIMD1},
+	}), 1, 1)
+	th.Step(nil)
+	switch dt.Size() {
+	case 2:
+		return uint64(th.GRF.ReadU16(10 * 32))
+	case 8:
+		return th.GRF.ReadU64(10 * 32)
+	}
+	return uint64(th.GRF.ReadU32(10 * 32))
+}
+
+// evalCmp runs a SIMD1 CMP on two immediates through its decoded lane
+// loop and returns the flag bit it writes.
+func evalCmp(cond isa.CondMod, dt isa.DataType, a, b uint64) bool {
+	th := &Thread{}
+	th.Reset(mustDecode(isa.Program{
+		{Op: isa.OpCmp, Width: isa.SIMD1, DType: dt, Cond: cond, Flag: isa.F1,
+			Src0: isa.Operand{Kind: isa.RegImm, Imm: a}, Src1: isa.Operand{Kind: isa.RegImm, Imm: b}},
+		{Op: isa.OpHalt, Width: isa.SIMD1},
+	}), 1, 1)
+	th.Step(nil)
+	return th.Flags[1]&1 != 0
 }
 
 func fbits(v float32) uint64 { return uint64(math.Float32bits(v)) }
@@ -140,7 +167,7 @@ func TestCompare(t *testing.T) {
 		{isa.CmpLT, isa.F64, math.Float64bits(-1), math.Float64bits(1), true},
 	}
 	for _, c := range cases {
-		if got := compare(c.cond, c.dt, c.a, c.b); got != c.want {
+		if got := evalCmp(c.cond, c.dt, c.a, c.b); got != c.want {
 			t.Errorf("compare(%s, %s, %#x, %#x) = %v", c.cond, c.dt, c.a, c.b, got)
 		}
 	}
@@ -166,7 +193,7 @@ func TestPredicatedWriteMasking(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.Flags[0] = 0x0F
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {
@@ -187,11 +214,11 @@ func TestCmpUpdatesOnlyActiveLanes(t *testing.T) {
 	// With only the upper 4 lanes active, a CMP that is true everywhere
 	// must set flag bits only for those lanes.
 	th := &Thread{}
-	th.Reset(isa.Program{
+	th.Reset(mustDecode(isa.Program{
 		{Op: isa.OpCmp, Width: isa.SIMD8, DType: isa.U32, Cond: isa.CmpEQ, Flag: isa.F0,
 			Src0: isa.ImmU32(1), Src1: isa.ImmU32(1)},
 		{Op: isa.OpHalt, Width: isa.SIMD8},
-	}, 8, 0xFF)
+	}), 8, 0xFF)
 	th.Active = 0xF0
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {
@@ -209,7 +236,7 @@ func TestSelPicksPerLane(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.Flags[0] = 0xAA
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {
@@ -242,7 +269,7 @@ func TestSendGatherScatter(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	for lane := 0; lane < 8; lane++ {
 		th.GRF.WriteU32(16*32+lane*4, buf+uint32(lane*2*4))
 		th.GRF.WriteU32(17*32+lane*4, buf+uint32((lane*2+1)*4))
@@ -277,7 +304,7 @@ func TestSendBlockLoad(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.GRF.WriteU32(16*32, buf)
 	for th.State == ThreadReady {
 		th.Step(mem)
@@ -298,7 +325,7 @@ func TestSendAtomicAdd(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	for lane := 0; lane < 8; lane++ {
 		th.GRF.WriteU32(16*32+lane*4, ctr)
 	}

@@ -1,0 +1,618 @@
+package eu
+
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+
+	"intrawarp/internal/isa"
+	"intrawarp/internal/memory"
+)
+
+// laneLoop executes one decoded instruction over the enabled lanes em.
+// Every loop visits lanes in ascending order and reads a lane's sources
+// before it writes that lane's destination, so overlapping operands see
+// the same bytes as a lane-by-lane interpreter, and a scalar destination
+// keeps the last enabled lane's value.
+type laneLoop func(t *Thread, d *decoded, em uint32, mem *memory.Flat)
+
+var le = binary.LittleEndian
+
+// src returns the bytes a source operand reads from lane 0 on: the
+// thread's GRF, or the decoded immediate (zeros for a null operand).
+func (t *Thread) src(o *operand) []byte {
+	if o.grf {
+		return t.GRF.Bytes()[o.off:]
+	}
+	return o.imm[:]
+}
+
+// dst returns the bytes a destination operand writes from lane 0 on:
+// the thread's GRF, or, for a null destination, a per-thread sink whose
+// contents nothing reads. Decode rejects immediate destinations.
+func (t *Thread) dst(o *operand) []byte {
+	if o.grf {
+		return t.GRF.Bytes()[o.off:]
+	}
+	return t.sink[:]
+}
+
+// laneLoopFor returns the lane loop of an ALU, CMP or SEL instruction,
+// or nil when its opcode, condition or datatype has none.
+func laneLoopFor(in *isa.Instruction) laneLoop {
+	if in.DType > isa.U16 {
+		return nil
+	}
+	switch in.Op {
+	case isa.OpCmp:
+		if in.Cond > isa.CmpGE {
+			return nil
+		}
+		return cmpLoops[in.Cond][in.DType]
+	case isa.OpSel:
+		return selLoops[in.DType.Size()]
+	}
+	if int(in.Op) >= len(aluLoops) {
+		return nil
+	}
+	return aluLoops[in.Op][in.DType]
+}
+
+// Lane-loop tables, built once: aluLoops by (opcode, datatype),
+// cmpLoops by (condition, datatype), selLoops by element size and
+// sendLoops by SEND op. A nil entry has no lane loop.
+var (
+	aluLoops  [isa.OpPow + 1][isa.U16 + 1]laneLoop
+	cmpLoops  [isa.CmpGE + 1][isa.U16 + 1]laneLoop
+	selLoops  = [9]laneLoop{2: sel2, 4: sel4, 8: sel8}
+	sendLoops = [...]laneLoop{
+		isa.SendLoadGather:   sendLoadGather,
+		isa.SendStoreScatter: sendStoreScatter,
+		isa.SendLoadBlock:    sendLoadBlock,
+		isa.SendStoreBlock:   sendStoreBlock,
+		isa.SendLoadSLM:      sendLoadSLM,
+		isa.SendStoreSLM:     sendStoreSLM,
+		isa.SendAtomicAdd:    sendAtomicAdd,
+		isa.SendAtomicMin:    sendAtomicMin,
+	}
+)
+
+func init() {
+	for op := range aluLoops {
+		for dt := range aluLoops[op] {
+			aluLoops[op][dt] = aluLoop(isa.Opcode(op), isa.DataType(dt))
+		}
+	}
+	for c := range cmpLoops {
+		for dt := range cmpLoops[c] {
+			cmpLoops[c][dt] = cmpLoop(isa.CondMod(c), isa.DataType(dt))
+		}
+	}
+}
+
+// aluLoop builds the lane loop of one ALU (opcode, datatype) pair, or
+// returns nil. NOP, CMP and SEL are not ALU lane operations.
+func aluLoop(op isa.Opcode, dt isa.DataType) laneLoop {
+	switch dt.Size() {
+	case 2:
+		if f := op16(op); f != nil {
+			return alu2(f)
+		}
+	case 4:
+		if f := op32(op, dt); f != nil {
+			return alu4(f)
+		}
+	case 8:
+		if f := op64(op, dt); f != nil {
+			return alu8(f)
+		}
+	}
+	return nil
+}
+
+func fl32(v uint32) float32   { return math.Float32frombits(v) }
+func bits32(v float32) uint32 { return math.Float32bits(v) }
+func fl64(v uint64) float64   { return math.Float64frombits(v) }
+func bits64(v float64) uint64 { return math.Float64bits(v) }
+
+// op32 returns the per-lane function of a 4-byte (F32, S32, U32)
+// operation. The F32 mad rounds its product to float32 before the add:
+// the explicit conversion forbids the compiler to fuse x*y+z into an
+// FMA, so every platform computes what the simulated hardware does.
+func op32(op isa.Opcode, dt isa.DataType) func(a, b, c uint32) uint32 {
+	if f := opBits[uint32](op); f != nil {
+		return f
+	}
+	if op == isa.OpAsr {
+		return func(a, b, _ uint32) uint32 { return uint32(int32(a) >> (b & 31)) }
+	}
+	switch dt {
+	case isa.F32:
+		switch op {
+		case isa.OpAdd:
+			return func(a, b, _ uint32) uint32 { return bits32(fl32(a) + fl32(b)) }
+		case isa.OpSub:
+			return func(a, b, _ uint32) uint32 { return bits32(fl32(a) - fl32(b)) }
+		case isa.OpMul:
+			return func(a, b, _ uint32) uint32 { return bits32(fl32(a) * fl32(b)) }
+		case isa.OpMad:
+			return func(a, b, c uint32) uint32 { return bits32(float32(fl32(a)*fl32(b)) + fl32(c)) }
+		case isa.OpMin:
+			return func(a, b, _ uint32) uint32 {
+				return bits32(float32(math.Min(float64(fl32(a)), float64(fl32(b)))))
+			}
+		case isa.OpMax:
+			return func(a, b, _ uint32) uint32 {
+				return bits32(float32(math.Max(float64(fl32(a)), float64(fl32(b)))))
+			}
+		case isa.OpAbs:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Abs(float64(fl32(a))))) }
+		case isa.OpFrc:
+			return func(a, _, _ uint32) uint32 {
+				x := fl32(a)
+				return bits32(x - float32(math.Floor(float64(x))))
+			}
+		case isa.OpFlr:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Floor(float64(fl32(a))))) }
+		case isa.OpCvt:
+			return func(a, _, _ uint32) uint32 { return uint32(int32(fl32(a))) }
+		case isa.OpDiv:
+			return func(a, b, _ uint32) uint32 { return bits32(fl32(a) / fl32(b)) }
+		case isa.OpSqrt:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Sqrt(float64(fl32(a))))) }
+		case isa.OpRsqrt:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(1 / math.Sqrt(float64(fl32(a))))) }
+		case isa.OpInv:
+			return func(a, _, _ uint32) uint32 { return bits32(1 / fl32(a)) }
+		case isa.OpSin:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Sin(float64(fl32(a))))) }
+		case isa.OpCos:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Cos(float64(fl32(a))))) }
+		case isa.OpExp:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Exp2(float64(fl32(a))))) }
+		case isa.OpLog:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(math.Log2(float64(fl32(a))))) }
+		case isa.OpPow:
+			return func(a, b, _ uint32) uint32 {
+				return bits32(float32(math.Pow(float64(fl32(a)), float64(fl32(b)))))
+			}
+		}
+	case isa.S32:
+		switch op {
+		case isa.OpAdd:
+			return func(a, b, _ uint32) uint32 { return uint32(int32(a) + int32(b)) }
+		case isa.OpSub:
+			return func(a, b, _ uint32) uint32 { return uint32(int32(a) - int32(b)) }
+		case isa.OpMul:
+			return func(a, b, _ uint32) uint32 { return uint32(int32(a) * int32(b)) }
+		case isa.OpMad:
+			return func(a, b, c uint32) uint32 { return uint32(int32(a)*int32(b) + int32(c)) }
+		case isa.OpMin:
+			return func(a, b, _ uint32) uint32 { return uint32(min(int32(a), int32(b))) }
+		case isa.OpMax:
+			return func(a, b, _ uint32) uint32 { return uint32(max(int32(a), int32(b))) }
+		case isa.OpAbs:
+			return func(a, _, _ uint32) uint32 {
+				if x := int32(a); x < 0 {
+					return uint32(-x)
+				}
+				return a
+			}
+		case isa.OpCvt:
+			return func(a, _, _ uint32) uint32 { return bits32(float32(int32(a))) }
+		case isa.OpDiv:
+			return func(a, b, _ uint32) uint32 {
+				if b == 0 {
+					return 0
+				}
+				return uint32(int32(a) / int32(b))
+			}
+		}
+	case isa.U32:
+		return opUnsigned[uint32](op)
+	}
+	return nil
+}
+
+// op64 returns the per-lane function of an 8-byte (F64, U64)
+// operation. The F64 mad rounds its product as op32's F32 mad does.
+func op64(op isa.Opcode, dt isa.DataType) func(a, b, c uint64) uint64 {
+	if f := opBits[uint64](op); f != nil {
+		return f
+	}
+	if op == isa.OpAsr {
+		return func(a, b, _ uint64) uint64 { return uint64(int64(a) >> (b & 63)) }
+	}
+	switch dt {
+	case isa.F64:
+		switch op {
+		case isa.OpAdd:
+			return func(a, b, _ uint64) uint64 { return bits64(fl64(a) + fl64(b)) }
+		case isa.OpSub:
+			return func(a, b, _ uint64) uint64 { return bits64(fl64(a) - fl64(b)) }
+		case isa.OpMul:
+			return func(a, b, _ uint64) uint64 { return bits64(fl64(a) * fl64(b)) }
+		case isa.OpMad:
+			return func(a, b, c uint64) uint64 { return bits64(float64(fl64(a)*fl64(b)) + fl64(c)) }
+		case isa.OpMin:
+			return func(a, b, _ uint64) uint64 { return bits64(math.Min(fl64(a), fl64(b))) }
+		case isa.OpMax:
+			return func(a, b, _ uint64) uint64 { return bits64(math.Max(fl64(a), fl64(b))) }
+		case isa.OpAbs:
+			return func(a, _, _ uint64) uint64 { return bits64(math.Abs(fl64(a))) }
+		case isa.OpSqrt:
+			return func(a, _, _ uint64) uint64 { return bits64(math.Sqrt(fl64(a))) }
+		case isa.OpDiv:
+			return func(a, b, _ uint64) uint64 { return bits64(fl64(a) / fl64(b)) }
+		case isa.OpCvt:
+			return func(a, _, _ uint64) uint64 { return uint64(int64(fl64(a))) }
+		}
+	case isa.U64:
+		return opUnsigned[uint64](op)
+	}
+	return nil
+}
+
+// op16 returns the per-lane function of a 2-byte operation. F16 has no
+// float arithmetic: both 2-byte types compute as unsigned integers.
+func op16(op isa.Opcode) func(a, b, c uint16) uint16 {
+	if f := opBits[uint16](op); f != nil {
+		return f
+	}
+	if op == isa.OpAsr {
+		// The 2-byte element zero-extends to 32 bits, so the shift is
+		// logical.
+		return func(a, b, _ uint16) uint16 { return uint16(uint32(a) >> (b & 31)) }
+	}
+	return opUnsigned[uint16](op)
+}
+
+// opBits returns the per-lane function of a move, logic or logical
+// shift on elements of type T: these ignore the datatype beyond its
+// size. A shift by the element width or more gives 0.
+func opBits[T uint16 | uint32 | uint64](op isa.Opcode) func(a, b, c T) T {
+	switch op {
+	case isa.OpMov:
+		return func(a, _, _ T) T { return a }
+	case isa.OpNot:
+		return func(a, _, _ T) T { return ^a }
+	case isa.OpAnd:
+		return func(a, b, _ T) T { return a & b }
+	case isa.OpOr:
+		return func(a, b, _ T) T { return a | b }
+	case isa.OpXor:
+		return func(a, b, _ T) T { return a ^ b }
+	case isa.OpShl:
+		return func(a, b, _ T) T { return a << (b & 63) }
+	case isa.OpShr:
+		return func(a, b, _ T) T { return a >> (b & 63) }
+	}
+	return nil
+}
+
+// opUnsigned returns the per-lane function of an unsigned-integer
+// arithmetic operation on elements of type T. CVT converts to F32 and
+// keeps the low bytes of the float's bits that fit the element.
+func opUnsigned[T uint16 | uint32 | uint64](op isa.Opcode) func(a, b, c T) T {
+	switch op {
+	case isa.OpAdd:
+		return func(a, b, _ T) T { return a + b }
+	case isa.OpSub:
+		return func(a, b, _ T) T { return a - b }
+	case isa.OpMul:
+		return func(a, b, _ T) T { return a * b }
+	case isa.OpMad:
+		return func(a, b, c T) T { return a*b + c }
+	case isa.OpMin:
+		return func(a, b, _ T) T { return min(a, b) }
+	case isa.OpMax:
+		return func(a, b, _ T) T { return max(a, b) }
+	case isa.OpAbs:
+		return func(a, _, _ T) T { return a }
+	case isa.OpCvt:
+		return func(a, _, _ T) T { return T(bits32(float32(a))) }
+	case isa.OpDiv:
+		return func(a, b, _ T) T {
+			if b == 0 {
+				return 0
+			}
+			return a / b
+		}
+	}
+	return nil
+}
+
+func alu2(f func(a, b, c uint16) uint16) laneLoop {
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+		for ; em != 0; em &= em - 1 {
+			l := bits.TrailingZeros32(em)
+			le.PutUint16(w[l*ws:], f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]), le.Uint16(z[l*zs:])))
+		}
+	}
+}
+
+func alu4(f func(a, b, c uint32) uint32) laneLoop {
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+		for ; em != 0; em &= em - 1 {
+			l := bits.TrailingZeros32(em)
+			le.PutUint32(w[l*ws:], f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]), le.Uint32(z[l*zs:])))
+		}
+	}
+}
+
+func alu8(f func(a, b, c uint64) uint64) laneLoop {
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+		for ; em != 0; em &= em - 1 {
+			l := bits.TrailingZeros32(em)
+			le.PutUint64(w[l*ws:], f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]), le.Uint64(z[l*zs:])))
+		}
+	}
+}
+
+// cmpLoop builds the lane loop of CMP with condition c on datatype dt.
+// GT and GE are the negations of LT and LE-or-EQ as the condition codes
+// define them, so a NaN operand compares true under NE, GT and GE.
+func cmpLoop(c isa.CondMod, dt isa.DataType) laneLoop {
+	switch dt {
+	case isa.F32:
+		return cmp4(func(a, b uint32) (bool, bool) { x, y := fl32(a), fl32(b); return x < y, x == y }, c)
+	case isa.S32:
+		return cmp4(func(a, b uint32) (bool, bool) { return int32(a) < int32(b), a == b }, c)
+	case isa.U32:
+		return cmp4(func(a, b uint32) (bool, bool) { return a < b, a == b }, c)
+	case isa.F64:
+		return cmp8(func(a, b uint64) (bool, bool) { x, y := fl64(a), fl64(b); return x < y, x == y }, c)
+	case isa.U64:
+		return cmp8(func(a, b uint64) (bool, bool) { return a < b, a == b }, c)
+	case isa.F16, isa.U16:
+		return cmp2(func(a, b uint16) (bool, bool) { return a < b, a == b }, c)
+	}
+	return nil
+}
+
+// holds evaluates condition c from the lane's less-than and equal
+// outcomes.
+func holds(c isa.CondMod, lt, eq bool) bool {
+	switch c {
+	case isa.CmpEQ:
+		return eq
+	case isa.CmpNE:
+		return !eq
+	case isa.CmpLT:
+		return lt
+	case isa.CmpLE:
+		return lt || eq
+	case isa.CmpGT:
+		return !lt && !eq
+	default: // CmpGE
+		return !lt
+	}
+}
+
+// condTable lists, for each (lt, eq) outcome indexed lt*2+eq, whether
+// condition c holds, so a CMP lane loop picks its flag bit with one
+// table lookup instead of a switch on the condition.
+func condTable(c isa.CondMod) [4]bool {
+	var t [4]bool
+	for i := range t {
+		t[i] = holds(c, i&2 != 0, i&1 != 0)
+	}
+	return t
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func cmp2(f func(a, b uint16) (lt, eq bool), c isa.CondMod) laneLoop {
+	tab := condTable(c)
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y := t.src(&d.src[0]), t.src(&d.src[1])
+		xs, ys := d.src[0].stride, d.src[1].stride
+		var set uint32
+		for v := em; v != 0; v &= v - 1 {
+			l := bits.TrailingZeros32(v)
+			lt, eq := f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]))
+			if tab[b2i(lt)<<1|b2i(eq)] {
+				set |= 1 << l
+			}
+		}
+		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
+	}
+}
+
+func cmp4(f func(a, b uint32) (lt, eq bool), c isa.CondMod) laneLoop {
+	tab := condTable(c)
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y := t.src(&d.src[0]), t.src(&d.src[1])
+		xs, ys := d.src[0].stride, d.src[1].stride
+		var set uint32
+		for v := em; v != 0; v &= v - 1 {
+			l := bits.TrailingZeros32(v)
+			lt, eq := f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]))
+			if tab[b2i(lt)<<1|b2i(eq)] {
+				set |= 1 << l
+			}
+		}
+		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
+	}
+}
+
+func cmp8(f func(a, b uint64) (lt, eq bool), c isa.CondMod) laneLoop {
+	tab := condTable(c)
+	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+		x, y := t.src(&d.src[0]), t.src(&d.src[1])
+		xs, ys := d.src[0].stride, d.src[1].stride
+		var set uint32
+		for v := em; v != 0; v &= v - 1 {
+			l := bits.TrailingZeros32(v)
+			lt, eq := f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]))
+			if tab[b2i(lt)<<1|b2i(eq)] {
+				set |= 1 << l
+			}
+		}
+		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
+	}
+}
+
+// SEL copies src0 where the flag bit is set and src1 elsewhere; only
+// the element size matters.
+
+func sel2(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	flag := t.Flags[d.in.Flag]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		v := le.Uint16(y[l*ys:])
+		if flag&(1<<l) != 0 {
+			v = le.Uint16(x[l*xs:])
+		}
+		le.PutUint16(w[l*ws:], v)
+	}
+}
+
+func sel4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	flag := t.Flags[d.in.Flag]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		v := le.Uint32(y[l*ys:])
+		if flag&(1<<l) != 0 {
+			v = le.Uint32(x[l*xs:])
+		}
+		le.PutUint32(w[l*ws:], v)
+	}
+}
+
+func sel8(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	flag := t.Flags[d.in.Flag]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		v := le.Uint64(y[l*ys:])
+		if flag&(1<<l) != 0 {
+			v = le.Uint64(x[l*xs:])
+		}
+		le.PutUint64(w[l*ws:], v)
+	}
+}
+
+// SEND lane loops. Addresses and data are 32-bit. Global-memory loops
+// stage each enabled lane's byte address in t.addrBuf, SLM loops each
+// word offset in t.slmBuf, in lane order; Step coalesces the former
+// into cache lines.
+
+func sendLoadGather(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	a, w := t.src(&d.src[0]), t.dst(&d.dst)
+	as, ws := d.src[0].stride, d.dst.stride
+	addrs := t.addrBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		addr := le.Uint32(a[l*as:])
+		addrs = append(addrs, addr)
+		le.PutUint32(w[l*ws:], mem.ReadU32(addr))
+	}
+	t.addrBuf = addrs
+}
+
+func sendStoreScatter(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	a, v := t.src(&d.src[0]), t.src(&d.src[1])
+	as, vs := d.src[0].stride, d.src[1].stride
+	addrs := t.addrBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		addr := le.Uint32(a[l*as:])
+		addrs = append(addrs, addr)
+		mem.WriteU32(addr, le.Uint32(v[l*vs:]))
+	}
+	t.addrBuf = addrs
+}
+
+// Block SENDs address lane l at base+4l, base being src0's lane 0.
+
+func sendLoadBlock(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	base, w := le.Uint32(t.src(&d.src[0])), t.dst(&d.dst)
+	ws := d.dst.stride
+	addrs := t.addrBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		addr := base + uint32(l)*4
+		addrs = append(addrs, addr)
+		le.PutUint32(w[l*ws:], mem.ReadU32(addr))
+	}
+	t.addrBuf = addrs
+}
+
+func sendStoreBlock(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	base, v := le.Uint32(t.src(&d.src[0])), t.src(&d.src[1])
+	vs := d.src[1].stride
+	addrs := t.addrBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		addr := base + uint32(l)*4
+		addrs = append(addrs, addr)
+		mem.WriteU32(addr, le.Uint32(v[l*vs:]))
+	}
+	t.addrBuf = addrs
+}
+
+func sendLoadSLM(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	a, w := t.src(&d.src[0]), t.dst(&d.dst)
+	as, ws := d.src[0].stride, d.dst.stride
+	offs := t.slmBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		off := le.Uint32(a[l*as:])
+		offs = append(offs, off)
+		le.PutUint32(w[l*ws:], t.SLM.ReadU32(off))
+	}
+	t.slmBuf = offs
+}
+
+func sendStoreSLM(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	a, v := t.src(&d.src[0]), t.src(&d.src[1])
+	as, vs := d.src[0].stride, d.src[1].stride
+	offs := t.slmBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		off := le.Uint32(a[l*as:])
+		offs = append(offs, off)
+		t.SLM.WriteU32(off, le.Uint32(v[l*vs:]))
+	}
+	t.slmBuf = offs
+}
+
+func sendAtomicAdd(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	sendAtomic(t, d, em, mem.AtomicAdd)
+}
+
+func sendAtomicMin(t *Thread, d *decoded, em uint32, mem *memory.Flat) {
+	sendAtomic(t, d, em, mem.AtomicMin)
+}
+
+// sendAtomic applies op to each enabled lane's address and operand and
+// returns the old value to the lane's destination.
+func sendAtomic(t *Thread, d *decoded, em uint32, op func(addr, v uint32) uint32) {
+	a, v, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	as, vs, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	addrs := t.addrBuf[:0]
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		addr := le.Uint32(a[l*as:])
+		addrs = append(addrs, addr)
+		le.PutUint32(w[l*ws:], op(addr, le.Uint32(v[l*vs:])))
+	}
+	t.addrBuf = addrs
+}

@@ -46,7 +46,7 @@ func (p *countingProbe) SendCompleted(e obs.SendEvent) {
 // fresh EU with the given policy and probe, returning the EU.
 func runDivergentKernel(t *testing.T, policy compaction.Policy, probe obs.Probe) *EU {
 	t.Helper()
-	p := divergentLoopProgram(8)
+	p := mustDecode(divergentLoopProgram(8))
 	sysEU, sys := newTestEU(policy)
 	sysEU.Cfg.Probe = probe
 	sysEU.probe = probe

@@ -67,11 +67,13 @@ type loopFrame struct {
 // Thread is one hardware thread context: architectural state plus the
 // divergence mask machinery.
 type Thread struct {
-	ID      int
-	State   ThreadState
-	IP      int32
-	Program isa.Program
-	Width   int
+	ID    int
+	State ThreadState
+	IP    int32
+	Width int
+
+	// prog is the launch's decoded program, shared by all its threads.
+	prog *Program
 
 	GRF   regfile.GRF
 	Flags [2]uint32
@@ -90,21 +92,24 @@ type Thread struct {
 	// run total when the kernel retires.
 	Stats *stats.Run
 
-	// Step scratch, reused across instructions: SEND address staging,
-	// coalesced lines, and SLM word offsets. ExecResult.Lines and
+	// Step scratch, reused across instructions: the result Step returns,
+	// SEND address staging, coalesced lines, SLM word offsets, and the
+	// sink a null destination writes. ExecResult.Lines and
 	// ExecResult.SLMOffsets alias these buffers, so they are valid only
 	// until the thread's next Step.
+	res     ExecResult
 	addrBuf []uint32
 	lineBuf []uint32
 	slmBuf  []uint32
+	sink    [8]byte
 }
 
-// Reset prepares the thread for a new dispatch with the given program,
-// SIMD width and dispatch mask.
-func (t *Thread) Reset(p isa.Program, width int, dispatch mask.Mask) {
+// Reset prepares the thread for a new dispatch with the given decoded
+// program, SIMD width and dispatch mask.
+func (t *Thread) Reset(p *Program, width int, dispatch mask.Mask) {
 	t.State = ThreadReady
 	t.IP = 0
-	t.Program = p
+	t.prog = p
 	t.Width = width
 	t.GRF.Reset()
 	t.Flags = [2]uint32{}
@@ -114,9 +119,9 @@ func (t *Thread) Reset(p isa.Program, width int, dispatch mask.Mask) {
 	t.loopStack = t.loopStack[:0]
 }
 
-// Next returns the instruction at the current IP.
-func (t *Thread) Next() *isa.Instruction {
-	return &t.Program[t.IP]
+// next returns the decoded instruction at the current IP.
+func (t *Thread) next() *decoded {
+	return &t.prog.code[t.IP]
 }
 
 // predMask returns the lanes enabled by the instruction's predication,

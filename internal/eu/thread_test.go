@@ -16,7 +16,7 @@ func runProgram(t *testing.T, p isa.Program, width int, dispatch mask.Mask) (*Th
 		t.Fatalf("invalid test program: %v", err)
 	}
 	th := &Thread{}
-	th.Reset(p, width, dispatch)
+	th.Reset(mustDecode(p), width, dispatch)
 	th.Stats = stats.NewRun("test", width)
 	mem := memory.NewFlat(1 << 16)
 	for steps := 0; th.State == ThreadReady; steps++ {
@@ -31,7 +31,7 @@ func runProgram(t *testing.T, p isa.Program, width int, dispatch mask.Mask) (*Th
 func TestThreadReset(t *testing.T) {
 	th := &Thread{}
 	p := isa.Program{{Op: isa.OpHalt, Width: isa.SIMD16}}
-	th.Reset(p, 16, 0xFFFF)
+	th.Reset(mustDecode(p), 16, 0xFFFF)
 	if th.State != ThreadReady || th.IP != 0 || th.Active != 0xFFFF {
 		t.Fatalf("reset state: %+v", th)
 	}
@@ -42,7 +42,7 @@ func TestThreadReset(t *testing.T) {
 
 func TestExecMaskPredication(t *testing.T) {
 	th := &Thread{}
-	th.Reset(isa.Program{{Op: isa.OpHalt, Width: isa.SIMD16}}, 16, 0xFFFF)
+	th.Reset(mustDecode(isa.Program{{Op: isa.OpHalt, Width: isa.SIMD16}}), 16, 0xFFFF)
 	th.Flags[0] = 0x00FF
 	th.Flags[1] = 0xF000
 
@@ -85,7 +85,7 @@ func TestIfElseMasks(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD16},
 	}
 	th := &Thread{}
-	th.Reset(p, 16, 0xFFFF)
+	th.Reset(mustDecode(p), 16, 0xFFFF)
 	// Per-lane ids 0..15 in r1.
 	for lane := 0; lane < 16; lane++ {
 		th.GRF.WriteU32(32+lane*4, uint32(lane))
@@ -118,7 +118,7 @@ func TestIfAllFalseJumpsToElse(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.Flags[0] = 0 // nobody takes the IF
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {
@@ -145,7 +145,7 @@ func TestIfAllTrueSkipsElse(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.Flags[0] = 0xFF
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {
@@ -172,7 +172,7 @@ func TestLoopWhileDivergent(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	for lane := 0; lane < 8; lane++ {
 		th.GRF.WriteU32(16*32+lane*4, uint32(lane))
 	}
@@ -209,7 +209,7 @@ func TestLoopBreak(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	for lane := 0; lane < 8; lane++ {
 		th.GRF.WriteU32(16*32+lane*4, uint32(lane))
 	}
@@ -250,7 +250,7 @@ func TestLoopCont(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	for lane := 0; lane < 8; lane++ {
 		th.GRF.WriteU32(16*32+lane*4, uint32(lane))
 	}
@@ -288,7 +288,7 @@ func TestNestedIfLoopNoResurrection(t *testing.T) {
 		{Op: isa.OpHalt, Width: isa.SIMD8},
 	}
 	th := &Thread{}
-	th.Reset(p, 8, 0xFF)
+	th.Reset(mustDecode(p), 8, 0xFF)
 	th.Flags[0] = 0x0F // lanes 0-3 enter the IF
 	mem := memory.NewFlat(1 << 12)
 	for th.State == ThreadReady {

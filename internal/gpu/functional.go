@@ -21,17 +21,19 @@ type InstrVisitor func(wg, thread int, res eu.ExecResult)
 // runWorkgroup functionally executes one workgroup to completion on a
 // detached pool of thread contexts, accumulating into run. Threads are
 // interleaved one instruction at a time, which resolves barriers and
-// keeps intra-workgroup atomics deterministic.
+// keeps intra-workgroup atomics deterministic. slm is the pool's
+// scratchpad, cleared here before the workgroup starts.
 //
 // A non-nil probe receives per-instruction obs events. The functional
 // engine has no clock; instruction indices stand in for cycles, offset by
 // stepBase so a serial run's event stream is monotonic across workgroups.
 // The executed step count is returned for that accumulation.
-func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
+func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec, prog *eu.Program, wg int,
+	run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
 	const maxSteps = 1 << 32
-	slm := memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+	slm.Clear()
 	for t := range pool {
-		initThread(pool[t], spec, wg, t, slm, run)
+		initThread(pool[t], spec, prog, wg, t, slm, run)
 	}
 	// The functional engine has no EUs; fold workgroups onto the
 	// configured EU count so timelines keep a familiar track layout.
@@ -48,7 +50,7 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, spec *LaunchSpec, wg int, run *sta
 			}
 			res := th.Step(g.Mem.Mem)
 			if visit != nil {
-				visit(wg, ti, res)
+				visit(wg, ti, *res)
 			}
 			if probe != nil {
 				ts := stepBase + steps
@@ -118,6 +120,10 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	if err != nil {
 		return nil, err
 	}
+	prog, err := eu.Decode(spec.Kernel)
+	if err != nil {
+		return nil, err
+	}
 	run := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 
 	workers := par.Workers(g.Cfg.Workers)
@@ -126,8 +132,8 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	}
 	probe := g.Cfg.EU.Probe
 	if visit != nil || workers <= 1 {
-		// Serial path: one thread-context pool, reused across workgroups,
-		// all accumulating directly into run.
+		// Serial path: one thread-context pool and one scratchpad, reused
+		// across workgroups, all accumulating directly into run.
 		if probe != nil {
 			probe.LaunchBegin(obs.LaunchEvent{
 				Engine: "functional", Kernel: spec.Kernel.Name,
@@ -138,12 +144,13 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		for i := range pool {
 			pool[i] = &eu.Thread{}
 		}
+		slm := g.newSLM()
 		var steps int64
 		for wg := 0; wg < numWGs; wg++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			n, err := g.runWorkgroup(pool, &spec, wg, run, visit, probe, steps)
+			n, err := g.runWorkgroup(pool, slm, &spec, prog, wg, run, visit, probe, steps)
 			if err != nil {
 				return nil, err
 			}
@@ -158,15 +165,18 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 
 	// Parallel path: workgroups are claimed dynamically by the pool, each
 	// worker writing into its own shard, so each shard counts a signature
-	// once however many of its workgroups execute it; the backing store
+	// once however many of its workgroups execute it, and reusing its own
+	// thread contexts and scratchpad; the backing store
 	// runs in shared mode for the duration (striped line locks make
 	// idempotent overlapping writes and cross-workgroup atomics
 	// well-defined).
 	shards := make([]*stats.Run, workers)
 	errs := make([]error, numWGs)
 	pools := make([][]*eu.Thread, workers)
+	slms := make([]*memory.SLM, workers)
 	for w := range pools {
 		shards[w] = stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
+		slms[w] = g.newSLM()
 		pools[w] = make([]*eu.Thread, threadsPerWG)
 		for i := range pools[w] {
 			pools[w][i] = &eu.Thread{}
@@ -189,7 +199,7 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		// Workgroups run concurrently, so instruction indices are local to
 		// each workgroup; a probe attached here must be safe for concurrent
 		// use (obs.Timeline is) and orders events by timestamp at export.
-		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], &spec, wg, shards[worker], nil, probe, 0)
+		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], slms[worker], &spec, prog, wg, shards[worker], nil, probe, 0)
 		shards[worker].Release()
 	})
 	g.Mem.Mem.SetShared(false)

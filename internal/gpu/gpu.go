@@ -207,9 +207,14 @@ func (g *GPU) getWorkgroup(id int) *workgroup {
 		g.slmPool = g.slmPool[:n-1]
 		wg.slm.Clear()
 	} else {
-		wg.slm = memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+		wg.slm = g.newSLM()
 	}
 	return wg
+}
+
+// newSLM allocates one workgroup scratchpad of the configured geometry.
+func (g *GPU) newSLM() *memory.SLM {
+	return memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
 }
 
 // putWorkgroup returns a retired workgroup and its scratchpad to the
@@ -240,8 +245,9 @@ func New(cfg Config) *GPU {
 }
 
 // initThread prepares a hardware thread's payload registers for dispatch
-// (the layout documented in package eu). wg is the flat workgroup index.
-func initThread(th *eu.Thread, spec *LaunchSpec, wg, tIdx int, slm *memory.SLM, run *stats.Run) {
+// (the layout documented in package eu). prog is the launch's decoded
+// program and wg the flat workgroup index.
+func initThread(th *eu.Thread, spec *LaunchSpec, prog *eu.Program, wg, tIdx int, slm *memory.SLM, run *stats.Run) {
 	width := spec.Kernel.Width.Lanes()
 
 	var dm mask.Mask
@@ -270,7 +276,7 @@ func initThread(th *eu.Thread, spec *LaunchSpec, wg, tIdx int, slm *memory.SLM, 
 			}
 		}
 	}
-	th.Reset(spec.Kernel.Program, width, dm)
+	th.Reset(prog, width, dm)
 	th.Workgroup = wg
 	th.SLM = slm
 	th.Stats = run
@@ -321,6 +327,10 @@ const ctxCheckInterval = 1 << 12
 // (well under one workgroup's lifetime) and ctx.Err() is returned.
 func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 	threadsPerWG, numWGs, err := spec.validate(g.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := eu.Decode(spec.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +385,7 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 				wg := g.getWorkgroup(nextWG)
 				for t := 0; t < threadsPerWG; t++ {
 					th := e.Threads[g.slots[t]]
-					initThread(th, &spec, nextWG, t, wg.slm, run)
+					initThread(th, &spec, prog, nextWG, t, wg.slm, run)
 					wg.members = append(wg.members, th)
 				}
 				e.MarkDirty()

@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -378,7 +380,7 @@ func TestPayloadLayout(t *testing.T) {
 	th := &eu.Thread{}
 	spec := LaunchSpec{Kernel: vecAddKernel(t, isa.SIMD16), GlobalSize: 100, GroupSize: 32,
 		Args: []uint32{0xA0, 0xB0, 0xC0}}
-	initThread(th, &spec, 2, 1, nil, nil)
+	initThread(th, &spec, nil, 2, 1, nil, nil)
 	_ = g
 	if got := th.GRF.ReadU32(eu.PayloadReg*32 + eu.R0GroupID); got != 2 {
 		t.Errorf("group id = %d", got)
@@ -401,8 +403,81 @@ func TestPayloadLayout(t *testing.T) {
 		t.Errorf("dispatch mask = %#x", th.Dispatch)
 	}
 	// Tail thread: global size 100, thread covering ids 96..111 keeps 4.
-	initThread(th, &spec, 3, 0, nil, nil)
+	initThread(th, &spec, nil, 3, 0, nil, nil)
 	if th.Dispatch.PopCount() != 4 {
 		t.Errorf("tail dispatch mask = %#x, want 4 lanes", th.Dispatch)
+	}
+}
+
+// TestDecodeFaultFailsLaunch checks that both engines return the decode
+// error of a kernel whose third instruction writes past the register
+// file before any thread runs: the block store ahead of it never
+// reaches memory, and no instruction is visited. The same kernel with
+// the write moved to r126, which ends at the file's last byte, runs.
+func TestDecodeFaultFailsLaunch(t *testing.T) {
+	kernel := func(reg int) *isa.Kernel {
+		return &isa.Kernel{Name: "fault", Width: isa.SIMD16, Program: isa.Program{
+			{Op: isa.OpMov, Width: isa.SIMD16, DType: isa.U32, Dst: isa.GRF(20), Src0: isa.ImmU32(7)},
+			{Op: isa.OpSend, Send: isa.SendStoreBlock, Width: isa.SIMD16, DType: isa.U32,
+				Src0: isa.Scalar(eu.ArgBase, 0), Src1: isa.GRF(20)},
+			{Op: isa.OpMov, Width: isa.SIMD16, DType: isa.U32, Dst: isa.GRF(reg), Src0: isa.ImmU32(1)},
+			{Op: isa.OpHalt, Width: isa.SIMD16},
+		}}
+	}
+	for _, timed := range []bool{false, true} {
+		for _, reg := range []int{127, 126} {
+			g := New(DefaultConfig())
+			buf := g.AllocU32(16, nil)
+			spec := LaunchSpec{Kernel: kernel(reg), GlobalSize: 16, GroupSize: 16, Args: []uint32{buf}}
+			visited := 0
+			var err error
+			if timed {
+				_, err = g.RunCtx(context.Background(), spec)
+			} else {
+				_, err = g.RunFunctionalCtx(context.Background(), spec, func(int, int, eu.ExecResult) { visited++ })
+			}
+			want := uint32(0)
+			if reg == 127 {
+				var de *eu.DecodeError
+				if !errors.As(err, &de) || de.Kernel != "fault" || de.Index != 2 || de.Operand != "dst" {
+					t.Fatalf("timed=%v r%d: got %v, want the decode error of instruction 2's dst", timed, reg, err)
+				}
+				if visited != 0 {
+					t.Errorf("timed=%v: %d instructions ran before the decode error", timed, visited)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("timed=%v r%d: %v", timed, reg, err)
+				}
+				want = 7
+			}
+			for i, w := range g.ReadBufferU32(buf, 16) {
+				if w != want {
+					t.Fatalf("timed=%v r%d: word %d = %d, want %d", timed, reg, i, w, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFunctionalReusesSLM checks that the functional engine gives each
+// worker one scratchpad for all its workgroups: a 64-workgroup launch
+// allocates far less than the 64 × 64 KB a scratchpad per workgroup
+// would cost, serially and on two workers.
+func TestFunctionalReusesSLM(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := New(DefaultConfig().WithWorkers(workers))
+		spec, _, _, _ := launchVecAdd(t, g, vecAddKernel(t, isa.SIMD16), 64*64)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := g.RunFunctionalCtx(context.Background(), spec, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perWG := int(g.Cfg.Mem.SLMBytes)
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(16*perWG) {
+			t.Errorf("workers=%d: a 64-workgroup launch allocated %d bytes; one %d-byte SLM per workgroup would explain it",
+				workers, got, perWG)
+		}
 	}
 }

@@ -189,6 +189,9 @@ func (f *Flat) ReadBytes(addr uint32, dst []byte) {
 type SLM struct {
 	data  []byte
 	banks int
+	// dirty is the end of the highest word written since the last Clear:
+	// every byte from dirty on is still zero.
+	dirty int
 
 	// ConflictCycles scratch, reused across calls: the distinct words of
 	// one access and the per-bank tallies. An SLM belongs to exactly one
@@ -207,9 +210,11 @@ func NewSLM(size, banks int) *SLM {
 }
 
 // Clear zeroes the scratchpad so a pooled SLM is indistinguishable from a
-// fresh NewSLM allocation.
+// fresh NewSLM allocation. Only the prefix up to the highest word written
+// can be nonzero, so only that prefix is cleared.
 func (s *SLM) Clear() {
-	clear(s.data)
+	clear(s.data[:s.dirty])
+	s.dirty = 0
 }
 
 // Size returns the scratchpad capacity in bytes.
@@ -229,6 +234,9 @@ func (s *SLM) WriteU32(off uint32, v uint32) {
 		panic(fmt.Sprintf("memory: SLM write %#x outside %d-byte scratchpad", off, len(s.data)))
 	}
 	binary.LittleEndian.PutUint32(s.data[off:], v)
+	if end := int(off) + 4; end > s.dirty {
+		s.dirty = end
+	}
 }
 
 // ConflictCycles returns the number of serialized access cycles for a set

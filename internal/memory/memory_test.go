@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,6 +188,27 @@ func TestSLMConflicts(t *testing.T) {
 	}
 	if s.ConflictCycles(nil) != 0 {
 		t.Fatal("no lanes must cost 0 cycles")
+	}
+}
+
+// TestSLMClearAfterReuse writes a pooled scratchpad's first and last
+// words and one in between, clears it, and checks it is byte-identical
+// to a fresh one with no dirty prefix left. A second round that writes
+// only low words must clear as well.
+func TestSLMClearAfterReuse(t *testing.T) {
+	s := NewSLM(64<<10, 16)
+	last := uint32(s.Size() - 4)
+	for _, round := range [][]uint32{{0, 1000, last}, {8, 4}} {
+		for _, off := range round {
+			s.WriteU32(off, 0xdeadbeef)
+		}
+		if want := int(slices.Max(round)) + 4; s.dirty != want {
+			t.Fatalf("dirty prefix %d after writes at %v, want %d", s.dirty, round, want)
+		}
+		s.Clear()
+		if fresh := NewSLM(64<<10, 16); !bytes.Equal(s.data, fresh.data) || s.dirty != 0 {
+			t.Fatalf("cleared SLM differs from a fresh one after writes at %v (dirty %d)", round, s.dirty)
+		}
 	}
 }
 

@@ -29,6 +29,11 @@ type GRF struct {
 // Reset zeroes the register file.
 func (g *GRF) Reset() { g.data = [TotalBytes]byte{} }
 
+// Bytes returns the register file's backing array. The EU's decoded
+// lane loops index it directly; their operand spans are checked against
+// TotalBytes once per launch, when the program is decoded.
+func (g *GRF) Bytes() []byte { return g.data[:] }
+
 // boundsCheck panics on out-of-file access: the assembler guarantees
 // operands fit, so an overrun is a simulator bug, not a kernel error.
 func boundsCheck(off, n int) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -192,5 +193,62 @@ func TestFlushIdempotent(t *testing.T) {
 	b.Merge(flushed)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("Merge of an unflushed run differs from Merge of it flushed:\n%s\n%s", a.Summary(), b.Summary())
+	}
+}
+
+// TestRepeatSignaturesFold records a stream whose signatures come in
+// runs of repeats, the shape the held-signature fast path counts
+// without a map access, through every point where the held count must
+// reach the table: a MaxPending self-flush, Merge and Flush. The totals
+// match costing each instruction on the spot, nothing stays held after
+// Flush or in a merged shard, and a flushed run deep-equals one that
+// recorded the same multiset of signatures in another order.
+func TestRepeatSignaturesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var stream []synthInstr
+	for len(stream) < 2*MaxPending {
+		in := synthInstr{width: 32, group: 4, m: mask.Mask(rng.Uint32())}
+		if rng.Intn(3) == 0 && len(stream) > 0 { // an earlier signature again
+			in = stream[rng.Intn(len(stream))]
+		}
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			stream = append(stream, in)
+		}
+	}
+	r := NewRun("runs", 16)
+	shard := NewRun("runs", 16)
+	half := len(stream) / 2
+	for _, in := range stream[:half] {
+		r.RecordInstr(in.width, in.group, in.m)
+	}
+	for _, in := range stream[half:] {
+		shard.RecordInstr(in.width, in.group, in.m)
+	}
+	if shard.heldN == 0 {
+		t.Fatal("the shard holds no repeat count before Merge: the fast path never ran")
+	}
+	r.Merge(shard)
+	if shard.heldN != 0 || shard.held != 0 || shard.pending != nil {
+		t.Fatalf("merged shard keeps accounting state: held %#x×%d, pending %v", shard.held, shard.heldN, shard.pending != nil)
+	}
+	r.Flush()
+	if r.heldN != 0 || r.held != 0 || r.pending != nil {
+		t.Fatalf("flushed run keeps accounting state: held %#x×%d, pending %v", r.held, r.heldN, r.pending != nil)
+	}
+	if want := costed(stream); !r.MaskCountsEqual(want) {
+		t.Fatalf("held repeats lost or double-counted:\ngot:\n%s\nwant:\n%s", r.Summary(), want.Summary())
+	}
+
+	shuffled := slices.Clone(stream)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	a, b := NewRun("r", 16), NewRun("r", 16)
+	for i := range stream {
+		a.RecordInstr(stream[i].width, stream[i].group, stream[i].m)
+		b.RecordInstr(shuffled[i].width, shuffled[i].group, shuffled[i].m)
+	}
+	a.Flush()
+	b.Flush()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("flushed runs of one multiset differ by recording order:\n%s\n%s", a.Summary(), b.Summary())
 	}
 }

@@ -87,8 +87,13 @@ type Run struct {
 	Windows [NumStallKinds]int64
 
 	// pending counts recorded instructions by signature (width, group,
-	// truncated mask) until Flush costs each distinct one.
+	// truncated mask) until Flush costs each distinct one. held is the
+	// signature of the latest run of identical RecordInstr calls and
+	// heldN its length, not yet added to pending: consecutive repeats,
+	// most calls on real kernels, count without a map access.
 	pending map[uint64]int64
+	held    uint64
+	heldN   int64
 
 	// guard asserts single-writer ownership of the accumulator when the
 	// `statsguard` build tag is set; it compiles to nothing otherwise.
@@ -177,10 +182,26 @@ const MaxPending = 1 << 12
 // utilization histogram, and the per-policy cycle totals from the counts.
 func (r *Run) RecordInstr(width, group int, m mask.Mask) {
 	r.guard.assertOwner()
+	sig := uint64(uint16(width))<<48 | uint64(uint16(group))<<32 | uint64(m.Trunc(width))
+	if sig == r.held && r.heldN > 0 {
+		r.heldN++
+		return
+	}
+	r.fold()
+	r.held, r.heldN = sig, 1
+}
+
+// fold adds the held repeat count into the signature table. A table
+// that reaches MaxPending distinct signatures is costed and emptied.
+func (r *Run) fold() {
+	if r.heldN == 0 {
+		return
+	}
 	if r.pending == nil {
 		r.pending = make(map[uint64]int64)
 	}
-	r.pending[uint64(uint16(width))<<48|uint64(uint16(group))<<32|uint64(m.Trunc(width))]++
+	r.pending[r.held] += r.heldN
+	r.held, r.heldN = 0, 0
 	if len(r.pending) >= MaxPending {
 		// Keep the grown table: a stream this varied is likely to refill it.
 		r.cost()
@@ -190,14 +211,16 @@ func (r *Run) RecordInstr(width, group int, m mask.Mask) {
 
 // Flush costs every pending signature once and adds its count times the
 // result into Instructions, ActiveLanes, TotalLanes, Hist and
-// PolicyCycles, then drops the signature table. Every function that
-// hands a Run to its caller flushes it first; Flush on a run with
-// nothing pending does nothing.
+// PolicyCycles, then drops the signature table and the held count, so
+// a flushed run holds no accounting state. Every function that hands a
+// Run to its caller flushes it first; Flush on a run with nothing
+// pending does nothing.
 func (r *Run) Flush() {
-	if r.pending == nil {
+	if r.pending == nil && r.heldN == 0 {
 		return
 	}
 	r.guard.assertOwner()
+	r.fold()
 	r.cost()
 	r.pending = nil
 }
