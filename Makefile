@@ -123,8 +123,9 @@ sweep-smoke:
 	$(GO) test -count 1 -run 'TestSweepSingleExecutionPerWorkload|TestSweepReplayMatchesFreshExecution|TestSweepOracleVerify|TestSweepOptionValidation|TestCheckCaptureRejectsAlteredTrace' ./internal/experiments/
 	$(GO) test -count 1 -run 'TestSweepCellsByteIdenticalToRun|TestSweepWidthAxisOverHTTP' ./internal/serve/
 
-# bench runs every benchmark with allocation reporting and converts the
-# output into $(BENCHOUT) (ns/op, B/op, allocs/op per benchmark) for the
-# bench-trajectory artifact uploaded by CI's bench-smoke job.
+# bench runs every benchmark with allocation reporting, and no unit test
+# (-run '^$'), and converts the output into $(BENCHOUT) (ns/op, B/op,
+# allocs/op per benchmark) for the bench-trajectory artifact uploaded by
+# CI's bench-smoke job.
 bench:
-	$(GO) test -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCHOUT)

@@ -3,7 +3,9 @@
 // it unchanged to stdout (so it composes as a pipe filter in `make
 // bench`), and writes one JSON document with a record per benchmark:
 // name, iterations, ns/op, B/op, and allocs/op (the latter two require
-// -benchmem or b.ReportAllocs).
+// -benchmem or b.ReportAllocs). Names drop the -N GOMAXPROCS suffix, so
+// files written on machines with different CPU counts share row names;
+// the header records GOMAXPROCS and the Go version once instead.
 //
 // Usage:
 //
@@ -16,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -42,22 +45,25 @@ type EngineRatio struct {
 
 // Report is the emitted document.
 type Report struct {
-	GoOS    string        `json:"goos,omitempty"`
-	GoArch  string        `json:"goarch,omitempty"`
-	CPU     string        `json:"cpu,omitempty"`
-	Results []Result      `json:"results"`
-	Ratios  []EngineRatio `json:"engine_ratios,omitempty"`
+	GoOS       string        `json:"goos,omitempty"`
+	GoArch     string        `json:"goarch,omitempty"`
+	CPU        string        `json:"cpu,omitempty"`
+	GoVersion  string        `json:"go_version"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Results    []Result      `json:"results"`
+	Ratios     []EngineRatio `json:"engine_ratios,omitempty"`
 }
 
-// baseName strips the -N GOMAXPROCS suffix go test appends to
-// benchmark names ("BenchmarkX-8" → "BenchmarkX").
-func baseName(name string) string {
+// splitName splits the -N GOMAXPROCS suffix go test appends to benchmark
+// names off the base name ("BenchmarkX-8" → "BenchmarkX", 8). go test
+// appends no suffix at GOMAXPROCS 1.
+func splitName(name string) (string, int) {
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			return name[:i]
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], procs
 		}
 	}
-	return name
+	return name, 1
 }
 
 // engineRatios pairs every result named <X>Tick with its event-core
@@ -65,12 +71,11 @@ func baseName(name string) string {
 func engineRatios(results []Result) []EngineRatio {
 	event := make(map[string]Result, len(results))
 	for _, r := range results {
-		event[baseName(r.Name)] = r
+		event[r.Name] = r
 	}
 	var out []EngineRatio
 	for _, r := range results {
-		name := baseName(r.Name)
-		base, ok := strings.CutSuffix(name, "Tick")
+		base, ok := strings.CutSuffix(r.Name, "Tick")
 		if !ok {
 			continue
 		}
@@ -89,17 +94,19 @@ func engineRatios(results []Result) []EngineRatio {
 }
 
 // parseLine decodes one `BenchmarkX-8  30  5142143 ns/op  256 B/op  21 allocs/op`
-// line; ok is false for non-benchmark lines.
-func parseLine(line, pkg string) (Result, bool) {
+// line into a result named without the GOMAXPROCS suffix, and returns
+// that suffix's value; ok is false for non-benchmark lines.
+func parseLine(line, pkg string) (r Result, procs int, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return Result{}, 0, false
 	}
-	r := Result{Name: fields[0], Package: pkg, Iters: iters}
+	r = Result{Package: pkg, Iters: iters}
+	r.Name, procs = splitName(fields[0])
 	// The remainder is value/unit pairs.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
@@ -115,15 +122,15 @@ func parseLine(line, pkg string) (Result, bool) {
 			r.AllocsOp = int64(v)
 		}
 	}
-	return r, r.NsPerOp > 0
+	return r, procs, r.NsPerOp > 0
 }
 
 func main() {
 	out := flag.String("o", "BENCH_timed.json", "output JSON file")
 	flag.Parse()
 
-	rep := Report{}
-	pkg := ""
+	rep := Report{GoVersion: runtime.Version()}
+	pkg, mixed := "", ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	w := bufio.NewWriter(os.Stdout)
@@ -140,14 +147,25 @@ func main() {
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		default:
-			if r, ok := parseLine(line, pkg); ok {
-				rep.Results = append(rep.Results, r)
+			r, procs, ok := parseLine(line, pkg)
+			if !ok {
+				break
 			}
+			if rep.GOMAXPROCS != 0 && procs != rep.GOMAXPROCS && mixed == "" {
+				mixed = fmt.Sprintf("%s ran at GOMAXPROCS %d, earlier results at %d; write one -cpu value per file",
+					r.Name, procs, rep.GOMAXPROCS)
+			}
+			rep.GOMAXPROCS = procs
+			rep.Results = append(rep.Results, r)
 		}
 	}
 	w.Flush()
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if mixed != "" {
+		fmt.Fprintln(os.Stderr, "benchjson:", mixed)
 		os.Exit(1)
 	}
 

@@ -17,7 +17,13 @@ import (
 // shares one Program; nothing writes it after Decode returns.
 type Program struct {
 	code []decoded
+	slm  bool // some instruction is an SLM SEND
 }
+
+// UsesSLM reports whether the program reads or writes shared local
+// memory. A workgroup running a program that does not needs no
+// scratchpad.
+func (p *Program) UsesSLM() bool { return p.slm }
 
 // class selects what Step does with a decoded instruction.
 type class uint8
@@ -94,6 +100,7 @@ func Decode(k *isa.Kernel) (*Program, error) {
 		if field, reason := p.code[i].decode(in); reason != "" {
 			return nil, &DecodeError{Kernel: k.Name, Index: i, Instr: in.String(), Operand: field, Reason: reason}
 		}
+		p.slm = p.slm || in.Op == isa.OpSend && in.Send.IsSLM()
 	}
 	return p, nil
 }

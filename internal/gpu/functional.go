@@ -22,7 +22,8 @@ type InstrVisitor func(wg, thread int, res eu.ExecResult)
 // detached pool of thread contexts, accumulating into run. Threads are
 // interleaved one instruction at a time, which resolves barriers and
 // keeps intra-workgroup atomics deterministic. slm is the pool's
-// scratchpad, cleared here before the workgroup starts.
+// scratchpad, cleared here before the workgroup starts, or nil when the
+// program uses no SLM.
 //
 // A non-nil probe receives per-instruction obs events. The functional
 // engine has no clock; instruction indices stand in for cycles, offset by
@@ -31,7 +32,9 @@ type InstrVisitor func(wg, thread int, res eu.ExecResult)
 func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec, prog *eu.Program, wg int,
 	run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
 	const maxSteps = 1 << 32
-	slm.Clear()
+	if slm != nil {
+		slm.Clear()
+	}
 	for t := range pool {
 		initThread(pool[t], spec, prog, wg, t, slm, run)
 	}
@@ -120,7 +123,7 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	if err != nil {
 		return nil, err
 	}
-	prog, err := eu.Decode(spec.Kernel)
+	prog, err := g.program(spec.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -132,19 +135,20 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	}
 	probe := g.Cfg.EU.Probe
 	if visit != nil || workers <= 1 {
-		// Serial path: one thread-context pool and one scratchpad, reused
-		// across workgroups, all accumulating directly into run.
+		// Serial path: worker 0's thread-context pool and one scratchpad,
+		// reused across workgroups, all accumulating directly into run.
 		if probe != nil {
 			probe.LaunchBegin(obs.LaunchEvent{
 				Engine: "functional", Kernel: spec.Kernel.Name,
 				Policy: g.Cfg.EU.Policy.String(), Width: spec.Kernel.Width.Lanes(),
 			})
 		}
-		pool := make([]*eu.Thread, threadsPerWG)
-		for i := range pool {
-			pool[i] = &eu.Thread{}
+		pool := g.threads(0, threadsPerWG)
+		var slm *memory.SLM
+		if prog.UsesSLM() {
+			slm = g.takeSLM()
+			defer g.putSLM(slm)
 		}
-		slm := g.newSLM()
 		var steps int64
 		for wg := 0; wg < numWGs; wg++ {
 			if err := ctx.Err(); err != nil {
@@ -165,9 +169,9 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 
 	// Parallel path: workgroups are claimed dynamically by the pool, each
 	// worker writing into its own shard, so each shard counts a signature
-	// once however many of its workgroups execute it, and reusing its own
-	// thread contexts and scratchpad; the backing store
-	// runs in shared mode for the duration (striped line locks make
+	// once however many of its workgroups execute it, and reusing the
+	// GPU's thread contexts for its index and one scratchpad; the backing
+	// store runs in shared mode for the duration (striped line locks make
 	// idempotent overlapping writes and cross-workgroup atomics
 	// well-defined).
 	shards := make([]*stats.Run, workers)
@@ -176,10 +180,10 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	slms := make([]*memory.SLM, workers)
 	for w := range pools {
 		shards[w] = stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
-		slms[w] = g.newSLM()
-		pools[w] = make([]*eu.Thread, threadsPerWG)
-		for i := range pools[w] {
-			pools[w][i] = &eu.Thread{}
+		pools[w] = g.threads(w, threadsPerWG)
+		if prog.UsesSLM() {
+			slms[w] = g.takeSLM()
+			defer g.putSLM(slms[w])
 		}
 	}
 	if probe != nil {
@@ -217,6 +221,18 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 		probe.LaunchEnd(totalSteps)
 	}
 	return run, nil
+}
+
+// threads returns functional worker w's first n thread contexts, growing
+// the GPU's pool for that worker as needed.
+func (g *GPU) threads(w, n int) []*eu.Thread {
+	for len(g.pools) <= w {
+		g.pools = append(g.pools, nil)
+	}
+	for len(g.pools[w]) < n {
+		g.pools[w] = append(g.pools[w], &eu.Thread{})
+	}
+	return g.pools[w][:n]
 }
 
 // ReadBufferU32 copies count words from device memory starting at addr —

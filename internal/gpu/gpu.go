@@ -105,6 +105,10 @@ func (c Config) WithWorkers(k int) Config {
 // X extents, GlobalSizeY/GroupSizeY the Y extents, lanes cover consecutive
 // X positions of one row, and the per-lane Y ids appear at eu.IDRegY.
 type LaunchSpec struct {
+	// Kernel is the program to run. A GPU decodes each kernel once, on
+	// its first launch, and keeps the decoded program for later launches
+	// of the same *isa.Kernel, so a kernel must not change after its
+	// first launch on a GPU.
 	Kernel      *isa.Kernel
 	GlobalSize  int      // total work-items (X extent for 2-D launches)
 	GroupSize   int      // work-items per workgroup (X extent for 2-D)
@@ -168,30 +172,47 @@ type workgroup struct {
 	members []*eu.Thread
 }
 
-// GPU is the compute cluster.
+// GPU is the compute cluster. New builds only the memory system's
+// headers and its first page of device memory; everything else is built
+// when a run first needs it and then kept for the GPU's later launches,
+// so a GPU runs one launch at a time.
 type GPU struct {
 	Cfg Config
 	Mem *memory.System
+	// EUs is nil until the first timed run builds it (see buildTimed).
 	EUs []*eu.EU
 
+	// progs holds the decoded program of every kernel launched on the
+	// GPU, so each is decoded once (see LaunchSpec.Kernel).
+	progs map[*isa.Kernel]*eu.Program
+
 	// Timed-run scratch, reused across cycles and launches: retired
-	// workgroup records, their 64KB scratchpads (cleared on reuse), the
-	// live-workgroup list, and the dispatch free-slot buffer. Allocating
-	// any of these per workgroup or — worse — iterating a map per cycle
-	// dominated the timed-loop profile before they were pooled.
-	wgPool  []*workgroup
+	// workgroup records, the live-workgroup list, and the dispatch
+	// free-slot buffer. Allocating any of these per workgroup or — worse
+	// — iterating a map per cycle dominated the timed-loop profile
+	// before they were pooled.
+	wgPool []*workgroup
+	live   []*workgroup
+	slots  []int
+
+	// slmPool holds idle 64KB scratchpads for both engines: a timed
+	// workgroup or a functional worker takes one while its program uses
+	// SLM and returns it when done.
 	slmPool []*memory.SLM
-	live    []*workgroup
-	slots   []int
+
+	// pools[w] is functional worker w's thread-context pool, grown to
+	// the largest workgroup launched so far.
+	pools [][]*eu.Thread
 
 	// cal is the event core's wakeup calendar, re-armed every iteration;
-	// its backing array is preallocated in New so arming allocates
+	// its backing array is preallocated with the EUs so arming allocates
 	// nothing.
 	cal calendar
 }
 
-// getWorkgroup reuses or creates a workgroup record with a zeroed SLM.
-func (g *GPU) getWorkgroup(id int) *workgroup {
+// getWorkgroup reuses or creates a workgroup record, with a zeroed SLM
+// when the launch's program uses one.
+func (g *GPU) getWorkgroup(id int, slm bool) *workgroup {
 	var wg *workgroup
 	if n := len(g.wgPool); n > 0 {
 		wg = g.wgPool[n-1]
@@ -201,28 +222,39 @@ func (g *GPU) getWorkgroup(id int) *workgroup {
 	} else {
 		wg = &workgroup{id: id}
 	}
-	if n := len(g.slmPool); n > 0 {
-		wg.slm = g.slmPool[n-1]
-		g.slmPool[n-1] = nil
-		g.slmPool = g.slmPool[:n-1]
-		wg.slm.Clear()
-	} else {
-		wg.slm = g.newSLM()
+	if slm {
+		wg.slm = g.takeSLM()
 	}
 	return wg
 }
 
-// newSLM allocates one workgroup scratchpad of the configured geometry.
-func (g *GPU) newSLM() *memory.SLM {
-	return memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+// takeSLM returns a zeroed scratchpad of the configured geometry,
+// reusing a pooled one when there is one.
+func (g *GPU) takeSLM() *memory.SLM {
+	n := len(g.slmPool)
+	if n == 0 {
+		return memory.NewSLM(g.Cfg.Mem.SLMBytes, g.Cfg.Mem.SLMBanks)
+	}
+	s := g.slmPool[n-1]
+	g.slmPool[n-1] = nil
+	g.slmPool = g.slmPool[:n-1]
+	s.Clear()
+	return s
+}
+
+// putSLM returns a scratchpad to the pool.
+func (g *GPU) putSLM(s *memory.SLM) {
+	g.slmPool = append(g.slmPool, s)
 }
 
 // putWorkgroup returns a retired workgroup and its scratchpad to the
 // pools. Member contexts go back to ThreadIdle here — and only here —
 // so dispatch can never reuse a slot whose workgroup is still live.
 func (g *GPU) putWorkgroup(wg *workgroup) {
-	g.slmPool = append(g.slmPool, wg.slm)
-	wg.slm = nil
+	if wg.slm != nil {
+		g.putSLM(wg.slm)
+		wg.slm = nil
+	}
 	for i := range wg.members {
 		wg.members[i].State = eu.ThreadIdle
 		wg.members[i] = nil
@@ -231,17 +263,45 @@ func (g *GPU) putWorkgroup(wg *workgroup) {
 	g.wgPool = append(g.wgPool, wg)
 }
 
-// New builds a GPU for the given configuration.
+// New builds a GPU for the given configuration. It builds no EUs and no
+// cache arrays: a functional run never uses them, and the first timed run
+// builds them.
 func New(cfg Config) *GPU {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1_000_000_000
 	}
-	g := &GPU{Cfg: cfg, Mem: memory.NewSystem(cfg.Mem)}
-	for i := 0; i < cfg.NumEUs; i++ {
-		g.EUs = append(g.EUs, eu.New(i, cfg.EU, g.Mem))
+	return &GPU{Cfg: cfg, Mem: memory.NewSystem(cfg.Mem)}
+}
+
+// buildTimed builds what only the timed core uses, on the GPU's first
+// timed run: the EUs and the calendar's backing array. The caches build
+// their arrays on their first access, which only the timed core makes.
+func (g *GPU) buildTimed() {
+	if g.EUs != nil {
+		return
 	}
-	g.cal.h = make([]wakeup, 0, cfg.NumEUs+2)
-	return g
+	g.EUs = make([]*eu.EU, g.Cfg.NumEUs)
+	for i := range g.EUs {
+		g.EUs[i] = eu.New(i, g.Cfg.EU, g.Mem)
+	}
+	g.cal.h = make([]wakeup, 0, g.Cfg.NumEUs+2)
+}
+
+// program returns the kernel's decoded program, decoding it on the
+// kernel's first launch on this GPU.
+func (g *GPU) program(k *isa.Kernel) (*eu.Program, error) {
+	if p, ok := g.progs[k]; ok {
+		return p, nil
+	}
+	p, err := eu.Decode(k)
+	if err != nil {
+		return nil, err
+	}
+	if g.progs == nil {
+		g.progs = make(map[*isa.Kernel]*eu.Program)
+	}
+	g.progs[k] = p
+	return p, nil
 }
 
 // initThread prepares a hardware thread's payload registers for dispatch
@@ -330,13 +390,14 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := eu.Decode(spec.Kernel)
+	prog, err := g.program(spec.Kernel)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	g.buildTimed()
 	done := ctx.Done()
 	run := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 	run.TimedPolicy = g.Cfg.EU.Policy
@@ -382,7 +443,7 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 				if len(g.slots) < threadsPerWG {
 					continue
 				}
-				wg := g.getWorkgroup(nextWG)
+				wg := g.getWorkgroup(nextWG, prog.UsesSLM())
 				for t := 0; t < threadsPerWG; t++ {
 					th := e.Threads[g.slots[t]]
 					initThread(th, &spec, prog, nextWG, t, wg.slm, run)

@@ -11,6 +11,8 @@ type CacheStats struct {
 
 // Cache is a banked, set-associative, LRU, line-granular cache timing
 // model. It tracks tags only — data lives in the functional backing store.
+// The tag, LRU and bank arrays are built by the first Access, so a cache
+// that no timed run reaches costs only its header.
 type Cache struct {
 	name    string
 	ways    int
@@ -39,12 +41,15 @@ func NewCache(name string, sizeBytes, ways, banks, latency int) *Cache {
 	if banks <= 0 {
 		banks = 1
 	}
-	return &Cache{
-		name: name, ways: ways, sets: sets, banks: banks, latency: latency,
-		tags:     make([]uint32, lines),
-		lru:      make([]int64, lines),
-		bankFree: make([]int64, banks),
-	}
+	return &Cache{name: name, ways: ways, sets: sets, banks: banks, latency: latency}
+}
+
+// build allocates the tag, LRU and bank arrays.
+func (c *Cache) build() {
+	lines := c.sets * c.ways
+	c.tags = make([]uint32, lines)
+	c.lru = make([]int64, lines)
+	c.bankFree = make([]int64, c.banks)
 }
 
 // SetPerfect makes every access hit (the paper's "perfect L3" model in
@@ -66,6 +71,9 @@ func (c *Cache) bank(line uint32) int { return int(line/LineBytes) % c.banks }
 // caller is responsible for consulting the next level and then calling
 // Fill.
 func (c *Cache) Access(line uint32, now int64) (hit bool, ready int64) {
+	if c.tags == nil {
+		c.build()
+	}
 	c.Stats.Accesses++
 	c.tick++
 	b := c.bank(line)
@@ -98,6 +106,9 @@ func (c *Cache) Fill(line uint32) {
 	if c.perfect {
 		return
 	}
+	if c.tags == nil {
+		c.build()
+	}
 	s := c.set(line)
 	base := s * c.ways
 	victim := base
@@ -119,6 +130,9 @@ func (c *Cache) Fill(line uint32) {
 func (c *Cache) Contains(line uint32) bool {
 	if c.perfect {
 		return true
+	}
+	if c.tags == nil {
+		return false
 	}
 	s := c.set(line)
 	base := s * c.ways

@@ -9,6 +9,7 @@ package memory
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -26,7 +27,9 @@ const flatStripes = 256
 
 // Flat is the functional backing store: a flat, byte-addressable global
 // memory with a bump allocator. Address 0 is reserved so that a zero
-// pointer is always invalid.
+// pointer is always invalid. The store starts small and grows with Alloc,
+// and every access must lie below the allocation high-water mark, so an
+// access past the last buffer faults however much the store has grown.
 //
 // By default Flat is single-owner and unsynchronized. The parallel
 // functional engine executes workgroups from several goroutines against
@@ -42,6 +45,11 @@ type Flat struct {
 	locks  [flatStripes]sync.Mutex
 }
 
+// pageBytes is the initial capacity of a memory system's backing store.
+// Alloc doubles the capacity until the new buffer fits, so a store past
+// its first page holds less than twice its high-water mark.
+const pageBytes = 4096
+
 // NewFlat creates a backing store with the given initial capacity.
 func NewFlat(capacity int) *Flat {
 	if capacity < LineBytes {
@@ -51,12 +59,23 @@ func NewFlat(capacity int) *Flat {
 }
 
 // Alloc reserves size bytes and returns the base address, aligned to a
-// cache line so buffers never share lines.
+// cache line so buffers never share lines. When the buffer does not fit,
+// the capacity doubles until it does, in one allocation that keeps the
+// contents.
 func (f *Flat) Alloc(size int) uint32 {
 	base := (f.brk + LineBytes - 1) &^ (LineBytes - 1)
+	if size < 0 || uint64(base)+uint64(size) > math.MaxUint32 {
+		panic(fmt.Sprintf("memory: Alloc(%d) at %#x overflows the 32-bit address space", size, base))
+	}
 	end := base + uint32(size)
-	for int(end) > len(f.data) {
-		f.data = append(f.data, make([]byte, len(f.data))...)
+	if int(end) > len(f.data) {
+		n := len(f.data)
+		for n < int(end) {
+			n *= 2
+		}
+		grown := make([]byte, n)
+		copy(grown, f.data[:f.brk])
+		f.data = grown
 	}
 	f.brk = end
 	return base
@@ -65,9 +84,11 @@ func (f *Flat) Alloc(size int) uint32 {
 // Size returns the high-water mark of allocated memory.
 func (f *Flat) Size() int { return int(f.brk) }
 
+// check panics unless [addr, addr+n) lies inside the allocated memory:
+// above the reserved address 0 and below the high-water mark.
 func (f *Flat) check(addr uint32, n int) {
-	if int(addr)+n > len(f.data) || addr == 0 {
-		panic(fmt.Sprintf("memory: access %#x+%d outside allocated memory (%d bytes)", addr, n, len(f.data)))
+	if int(addr)+n > int(f.brk) || addr == 0 {
+		panic(fmt.Sprintf("memory: access %#x+%d outside allocated memory (%d bytes)", addr, n, f.brk))
 	}
 }
 

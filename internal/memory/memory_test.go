@@ -40,6 +40,71 @@ func TestFlatGrows(t *testing.T) {
 	}
 }
 
+// TestFlatGrowthKeepsContents allocates past the capacity several times
+// from one page and checks every word written before each growth, the
+// capacity doubling gives, and that one growth is one allocation.
+func TestFlatGrowthKeepsContents(t *testing.T) {
+	f := NewFlat(pageBytes)
+	var bufs []uint32
+	for i, size := range []int{100, 3000, 5000, 40000, 1 << 20} {
+		buf := f.Alloc(size)
+		bufs = append(bufs, buf)
+		for j := range bufs {
+			f.WriteU32(bufs[j]+uint32(4*i), uint32(1000*j+i))
+		}
+	}
+	if c := len(f.data); c > pageBytes && c >= 2*f.Size() {
+		t.Errorf("capacity %d for a %d-byte high-water mark; doubling from one page stays under twice it", c, f.Size())
+	}
+	// A growth past two doublings is one allocation.
+	g := NewFlat(pageBytes)
+	if n := testing.AllocsPerRun(1, func() { g.Alloc(2 * len(g.data)) }); n != 1 {
+		t.Errorf("a growing Alloc made %.0f allocations, want 1", n)
+	}
+	for j, buf := range bufs {
+		for i := j; i < len(bufs); i++ {
+			if got, want := f.ReadU32(buf+uint32(4*i)), uint32(1000*j+i); got != want {
+				t.Fatalf("buffer %d word %d = %d after growth, want %d", j, i, got, want)
+			}
+		}
+	}
+}
+
+// TestFlatBoundsAtHighWaterMark checks that the bounds are the
+// allocations, not the capacity: an access ending exactly at the
+// high-water mark succeeds and one byte further panics, though the
+// store's capacity extends well past both.
+func TestFlatBoundsAtHighWaterMark(t *testing.T) {
+	f := NewFlat(pageBytes)
+	buf := f.Alloc(100)
+	end := buf + 100
+	if f.Size() != int(end) || len(f.data) <= int(end)+4 {
+		t.Fatalf("high-water mark %d, capacity %d; the test needs spare capacity past %d", f.Size(), len(f.data), end)
+	}
+	f.WriteU32(end-4, 7)
+	f.WriteBytes(buf, make([]byte, 100))
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"ReadU32", func() { f.ReadU32(end - 3) }},
+		{"WriteU32", func() { f.WriteU32(end-3, 1) }},
+		{"AtomicAdd", func() { f.AtomicAdd(end-3, 1) }},
+		{"AtomicMin", func() { f.AtomicMin(end-3, 1) }},
+		{"ReadBytes", func() { f.ReadBytes(buf, make([]byte, 101)) }},
+		{"WriteBytes", func() { f.WriteBytes(buf, make([]byte, 101)) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s one byte past the high-water mark did not panic", tc.name)
+				}
+			}()
+			tc.op()
+		}()
+	}
+}
+
 func TestFlatAtomics(t *testing.T) {
 	f := NewFlat(256)
 	a := f.Alloc(4)

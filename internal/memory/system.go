@@ -155,11 +155,14 @@ type System struct {
 	Stats Stats
 }
 
-// NewSystem builds the memory system for the given configuration.
+// NewSystem builds the memory system for the given configuration. It
+// allocates only the first page of the backing store: Alloc grows the
+// store, and each cache builds its arrays on its first access, which
+// only a timed run makes.
 func NewSystem(cfg Config) *System {
 	s := &System{
 		Cfg:      cfg,
-		Mem:      NewFlat(1 << 20),
+		Mem:      NewFlat(pageBytes),
 		L3:       NewCache("L3", cfg.L3Bytes, cfg.L3Ways, cfg.L3Banks, cfg.L3Latency),
 		LLC:      NewCache("LLC", cfg.LLCBytes, cfg.LLCWays, cfg.LLCBanks, cfg.LLCLatency),
 		lastTick: -1,

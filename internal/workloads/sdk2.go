@@ -196,7 +196,9 @@ func setupReduce(g *gpu.GPU, n int) (*Instance, error) {
 	for i := range in {
 		in[i] = uint32(r.Intn(1000))
 	}
-	groups := n / wg
+	// One sum per workgroup, the last one over a partial group when n is
+	// not a multiple of wg.
+	groups := (n + wg - 1) / wg
 	bufIn := g.AllocU32(n, in)
 	bufOut := g.AllocU32(groups, make([]uint32, groups))
 	spec := gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: wg,
@@ -205,8 +207,8 @@ func setupReduce(g *gpu.GPU, n int) (*Instance, error) {
 		got := g.ReadBufferU32(bufOut, groups)
 		for wgI := 0; wgI < groups; wgI++ {
 			var want uint32
-			for i := 0; i < wg; i++ {
-				want += in[wgI*wg+i]
+			for _, v := range in[wgI*wg : min((wgI+1)*wg, n)] {
+				want += v
 			}
 			if got[wgI] != want {
 				return fmt.Errorf("sum[%d] = %d, want %d", wgI, got[wgI], want)

@@ -118,6 +118,35 @@ func TestBitonicRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestReduceChecksPartialGroup runs reduce at sizes that end in a partial
+// workgroup, including one below a single group: the last workgroup's
+// sum must land in bounds and be verified, so corrupting it fails Check.
+func TestReduceChecksPartialGroup(t *testing.T) {
+	s, err := ByName("reduce")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{17, 100} {
+		g := gpu.New(gpu.DefaultConfig())
+		inst, err := s.Setup(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := inst.Next(0)
+		if _, err := g.RunFunctionalCtx(context.Background(), *ls, nil); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := inst.Check(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		last := ls.Args[1] + uint32(4*((n-1)/64))
+		g.WriteBufferU32(last, []uint32{g.ReadBufferU32(last, 1)[0] + 1})
+		if err := inst.Check(); err == nil {
+			t.Fatalf("n=%d: Check accepted a wrong sum for the partial workgroup", n)
+		}
+	}
+}
+
 // The expected coherent/divergent classification (paper Fig. 3) must hold
 // at default problem sizes.
 func TestClassification(t *testing.T) {
