@@ -35,10 +35,12 @@ bench-check:
 # the stats.Run single-writer ownership assertion (internal/stats). The
 # guard resolves the writing goroutine's id via runtime.Stack on every
 # record, so the tagged pass is scoped to the engine packages that
-# exercise shard ownership rather than the whole experiment suite.
+# exercise shard ownership rather than the whole experiment suite, and to
+# internal/memory, whose shared-mode word atomics the parallel engine's
+# workers race on.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/
+	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/ ./internal/memory/
 
 .PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke
 

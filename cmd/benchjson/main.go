@@ -3,7 +3,8 @@
 // it unchanged to stdout (so it composes as a pipe filter in `make
 // bench`), and writes one JSON document with a record per benchmark:
 // name, iterations, ns/op, B/op, and allocs/op (the latter two require
-// -benchmem or b.ReportAllocs). Names drop the -N GOMAXPROCS suffix, so
+// -benchmem or b.ReportAllocs), plus any metric a benchmark reports with
+// b.ReportMetric, keyed by its unit. Names drop the -N GOMAXPROCS suffix, so
 // files written on machines with different CPU counts share row names;
 // the header records GOMAXPROCS and the Go version once instead.
 //
@@ -31,6 +32,8 @@ type Result struct {
 	NsPerOp  float64 `json:"ns_per_op"`
 	BPerOp   int64   `json:"bytes_per_op"`
 	AllocsOp int64   `json:"allocs_per_op"`
+	// Metrics holds the b.ReportMetric values by unit ("ns/lane").
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // EngineRatio pairs an event-core benchmark with its tick-core twin
@@ -120,6 +123,11 @@ func parseLine(line, pkg string) (r Result, procs int, ok bool) {
 			r.BPerOp = int64(v)
 		case "allocs/op":
 			r.AllocsOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[fields[i+1]] = v
 		}
 	}
 	return r, procs, r.NsPerOp > 0

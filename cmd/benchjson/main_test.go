@@ -25,3 +25,18 @@ func TestParseLineDropsProcsSuffix(t *testing.T) {
 		t.Errorf("parsed values %+v", r)
 	}
 }
+
+// TestParseLineKeepsReportedMetrics checks that a b.ReportMetric value
+// lands in Metrics under its unit, beside the standard columns.
+func TestParseLineKeepsReportedMetrics(t *testing.T) {
+	r, _, ok := parseLine("BenchmarkLaneLoop/add.u32/full-2  1000000  160.8 ns/op  10.05 ns/lane  0 B/op  0 allocs/op", "intrawarp/internal/eu")
+	if !ok || r.Name != "BenchmarkLaneLoop/add.u32/full" || r.NsPerOp != 160.8 || r.AllocsOp != 0 {
+		t.Fatalf("parsed %+v (ok %v)", r, ok)
+	}
+	if len(r.Metrics) != 1 || r.Metrics["ns/lane"] != 10.05 {
+		t.Fatalf("metrics %v, want map[ns/lane:10.05]", r.Metrics)
+	}
+	if r, _, _ := parseLine("BenchmarkFig3-2   10  85114945 ns/op", "intrawarp"); r.Metrics != nil {
+		t.Fatalf("a line with no reported metric parsed metrics %v", r.Metrics)
+	}
+}

@@ -51,10 +51,12 @@ type operand struct {
 type decoded struct {
 	in    *isa.Instruction
 	class class
+	cond  [4]bool // CMP: whether the condition holds, by lt*2+eq
 	width int
 	group int // lanes the datapath retires per cycle for this datatype
 	pipe  isa.Pipe
 	run   laneLoop // nil unless class is classLanes or classSend
+	op    *laneOp  // the per-lane operation of an ALU or CMP run
 
 	dst operand
 	src [3]operand
@@ -177,13 +179,16 @@ func (d *decoded) decode(in *isa.Instruction) (field, reason string) {
 		}
 	default:
 		d.class = classLanes
-		d.run = laneLoopFor(in)
+		d.run, d.op = laneLoopFor(in)
 		if d.run == nil {
 			what := fmt.Sprintf("%s.%s", in.Op, in.DType)
 			if in.Op == isa.OpCmp {
 				what = fmt.Sprintf("cmp.%s.%s", in.Cond, in.DType)
 			}
 			return "op", "no lane loop for " + what
+		}
+		if in.Op == isa.OpCmp {
+			d.cond = condTable(in.Cond)
 		}
 	}
 	return "", ""

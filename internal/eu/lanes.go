@@ -37,33 +37,57 @@ func (t *Thread) dst(o *operand) []byte {
 	return t.sink[:]
 }
 
-// laneLoopFor returns the lane loop of an ALU, CMP or SEL instruction,
-// or nil when its opcode, condition or datatype has none.
-func laneLoopFor(in *isa.Instruction) laneLoop {
+// laneOp is the per-lane operation a lane loop applies: for an ALU
+// instruction the function of its datatype's element size, for a CMP
+// its comparison (the condition's outcome table is decoded.cond). Only
+// the field of one element size is set. Decode points each instruction
+// at an entry of the tables below. The lane loops are top-level
+// functions that read the operation from here rather than closures over
+// it, because the compiler inlines the operand accesses into a
+// top-level function but not into the clone of a closure whose factory
+// it inlined (DESIGN.md §9).
+type laneOp struct {
+	alu16 func(a, b, c uint16) uint16
+	alu32 func(a, b, c uint32) uint32
+	alu64 func(a, b, c uint64) uint64
+	cmp16 func(a, b uint16) (lt, eq bool)
+	cmp32 func(a, b uint32) (lt, eq bool)
+	cmp64 func(a, b uint64) (lt, eq bool)
+}
+
+// laneLoopFor returns the lane loop of an ALU, CMP or SEL instruction
+// and the per-lane operation it applies (nil for SEL), or a nil loop
+// when the opcode, condition or datatype has none.
+func laneLoopFor(in *isa.Instruction) (laneLoop, *laneOp) {
 	if in.DType > isa.U16 {
-		return nil
+		return nil, nil
 	}
+	size := in.DType.Size()
 	switch in.Op {
 	case isa.OpCmp:
 		if in.Cond > isa.CmpGE {
-			return nil
+			return nil, nil
 		}
-		return cmpLoops[in.Cond][in.DType]
+		return cmpLoops[size], &cmpOps[in.DType]
 	case isa.OpSel:
-		return selLoops[in.DType.Size()]
+		return selLoops[size], nil
 	}
-	if int(in.Op) >= len(aluLoops) {
-		return nil
+	if int(in.Op) >= len(aluOps) {
+		return nil, nil
 	}
-	return aluLoops[in.Op][in.DType]
+	op := &aluOps[in.Op][in.DType]
+	if op.alu16 == nil && op.alu32 == nil && op.alu64 == nil {
+		return nil, nil
+	}
+	return aluLoops[size], op
 }
 
-// Lane-loop tables, built once: aluLoops by (opcode, datatype),
-// cmpLoops by (condition, datatype), selLoops by element size and
-// sendLoops by SEND op. A nil entry has no lane loop.
+// Lane-loop tables, built once: the loops by element size and SEND op,
+// the ALU operations by (opcode, datatype) and the CMP comparisons by
+// datatype. A nil entry has no lane loop.
 var (
-	aluLoops  [isa.OpPow + 1][isa.U16 + 1]laneLoop
-	cmpLoops  [isa.CmpGE + 1][isa.U16 + 1]laneLoop
+	aluLoops  = [9]laneLoop{2: alu2, 4: alu4, 8: alu8}
+	cmpLoops  = [9]laneLoop{2: cmp2, 4: cmp4, 8: cmp8}
 	selLoops  = [9]laneLoop{2: sel2, 4: sel4, 8: sel8}
 	sendLoops = [...]laneLoop{
 		isa.SendLoadGather:   sendLoadGather,
@@ -75,39 +99,39 @@ var (
 		isa.SendAtomicAdd:    sendAtomicAdd,
 		isa.SendAtomicMin:    sendAtomicMin,
 	}
+	aluOps [isa.OpPow + 1][isa.U16 + 1]laneOp
+	cmpOps = [isa.U16 + 1]laneOp{
+		isa.F32: {cmp32: func(a, b uint32) (bool, bool) { x, y := fl32(a), fl32(b); return x < y, x == y }},
+		isa.S32: {cmp32: func(a, b uint32) (bool, bool) { return int32(a) < int32(b), a == b }},
+		isa.U32: {cmp32: func(a, b uint32) (bool, bool) { return a < b, a == b }},
+		isa.F64: {cmp64: func(a, b uint64) (bool, bool) { x, y := fl64(a), fl64(b); return x < y, x == y }},
+		isa.U64: {cmp64: func(a, b uint64) (bool, bool) { return a < b, a == b }},
+		isa.F16: {cmp16: func(a, b uint16) (bool, bool) { return a < b, a == b }},
+		isa.U16: {cmp16: func(a, b uint16) (bool, bool) { return a < b, a == b }},
+	}
 )
 
 func init() {
-	for op := range aluLoops {
-		for dt := range aluLoops[op] {
-			aluLoops[op][dt] = aluLoop(isa.Opcode(op), isa.DataType(dt))
-		}
-	}
-	for c := range cmpLoops {
-		for dt := range cmpLoops[c] {
-			cmpLoops[c][dt] = cmpLoop(isa.CondMod(c), isa.DataType(dt))
+	for op := range aluOps {
+		for dt := range aluOps[op] {
+			aluOps[op][dt] = aluOpFor(isa.Opcode(op), isa.DataType(dt))
 		}
 	}
 }
 
-// aluLoop builds the lane loop of one ALU (opcode, datatype) pair, or
-// returns nil. NOP, CMP and SEL are not ALU lane operations.
-func aluLoop(op isa.Opcode, dt isa.DataType) laneLoop {
+// aluOpFor returns the per-lane operation of one ALU (opcode, datatype)
+// pair, with no function set when the pair has none. NOP, CMP and SEL
+// are not ALU lane operations.
+func aluOpFor(op isa.Opcode, dt isa.DataType) laneOp {
 	switch dt.Size() {
 	case 2:
-		if f := op16(op); f != nil {
-			return alu2(f)
-		}
+		return laneOp{alu16: op16(op)}
 	case 4:
-		if f := op32(op, dt); f != nil {
-			return alu4(f)
-		}
+		return laneOp{alu32: op32(op, dt)}
 	case 8:
-		if f := op64(op, dt); f != nil {
-			return alu8(f)
-		}
+		return laneOp{alu64: op64(op, dt)}
 	}
-	return nil
+	return laneOp{}
 }
 
 func fl32(v uint32) float32   { return math.Float32frombits(v) }
@@ -322,58 +346,37 @@ func opUnsigned[T uint16 | uint32 | uint64](op isa.Opcode) func(a, b, c T) T {
 	return nil
 }
 
-func alu2(f func(a, b, c uint16) uint16) laneLoop {
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
-		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
-		for ; em != 0; em &= em - 1 {
-			l := bits.TrailingZeros32(em)
-			le.PutUint16(w[l*ws:], f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]), le.Uint16(z[l*zs:])))
-		}
+// ALU lane loops apply the decoded operation of the element size to
+// each enabled lane's three sources.
+
+func alu2(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f := d.op.alu16
+	x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+	xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint16(w[l*ws:], f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]), le.Uint16(z[l*zs:])))
 	}
 }
 
-func alu4(f func(a, b, c uint32) uint32) laneLoop {
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
-		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
-		for ; em != 0; em &= em - 1 {
-			l := bits.TrailingZeros32(em)
-			le.PutUint32(w[l*ws:], f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]), le.Uint32(z[l*zs:])))
-		}
+func alu4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f := d.op.alu32
+	x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+	xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]), le.Uint32(z[l*zs:])))
 	}
 }
 
-func alu8(f func(a, b, c uint64) uint64) laneLoop {
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
-		xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
-		for ; em != 0; em &= em - 1 {
-			l := bits.TrailingZeros32(em)
-			le.PutUint64(w[l*ws:], f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]), le.Uint64(z[l*zs:])))
-		}
+func alu8(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f := d.op.alu64
+	x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+	xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint64(w[l*ws:], f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]), le.Uint64(z[l*zs:])))
 	}
-}
-
-// cmpLoop builds the lane loop of CMP with condition c on datatype dt.
-// GT and GE are the negations of LT and LE-or-EQ as the condition codes
-// define them, so a NaN operand compares true under NE, GT and GE.
-func cmpLoop(c isa.CondMod, dt isa.DataType) laneLoop {
-	switch dt {
-	case isa.F32:
-		return cmp4(func(a, b uint32) (bool, bool) { x, y := fl32(a), fl32(b); return x < y, x == y }, c)
-	case isa.S32:
-		return cmp4(func(a, b uint32) (bool, bool) { return int32(a) < int32(b), a == b }, c)
-	case isa.U32:
-		return cmp4(func(a, b uint32) (bool, bool) { return a < b, a == b }, c)
-	case isa.F64:
-		return cmp8(func(a, b uint64) (bool, bool) { x, y := fl64(a), fl64(b); return x < y, x == y }, c)
-	case isa.U64:
-		return cmp8(func(a, b uint64) (bool, bool) { return a < b, a == b }, c)
-	case isa.F16, isa.U16:
-		return cmp2(func(a, b uint16) (bool, bool) { return a < b, a == b }, c)
-	}
-	return nil
 }
 
 // holds evaluates condition c from the lane's less-than and equal
@@ -413,55 +416,54 @@ func b2i(b bool) int {
 	return 0
 }
 
-func cmp2(f func(a, b uint16) (lt, eq bool), c isa.CondMod) laneLoop {
-	tab := condTable(c)
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y := t.src(&d.src[0]), t.src(&d.src[1])
-		xs, ys := d.src[0].stride, d.src[1].stride
-		var set uint32
-		for v := em; v != 0; v &= v - 1 {
-			l := bits.TrailingZeros32(v)
-			lt, eq := f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]))
-			if tab[b2i(lt)<<1|b2i(eq)] {
-				set |= 1 << l
-			}
+// CMP lane loops set each enabled lane's flag bit to whether the
+// decoded condition holds between its two sources. GT and GE are the
+// negations of LT and LE-or-EQ as the condition codes define them, so a
+// NaN operand compares true under NE, GT and GE.
+
+func cmp2(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f, tab := d.op.cmp16, &d.cond
+	x, y := t.src(&d.src[0]), t.src(&d.src[1])
+	xs, ys := d.src[0].stride, d.src[1].stride
+	var set uint32
+	for v := em; v != 0; v &= v - 1 {
+		l := bits.TrailingZeros32(v)
+		lt, eq := f(le.Uint16(x[l*xs:]), le.Uint16(y[l*ys:]))
+		if tab[b2i(lt)<<1|b2i(eq)] {
+			set |= 1 << l
 		}
-		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 	}
+	t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 }
 
-func cmp4(f func(a, b uint32) (lt, eq bool), c isa.CondMod) laneLoop {
-	tab := condTable(c)
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y := t.src(&d.src[0]), t.src(&d.src[1])
-		xs, ys := d.src[0].stride, d.src[1].stride
-		var set uint32
-		for v := em; v != 0; v &= v - 1 {
-			l := bits.TrailingZeros32(v)
-			lt, eq := f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]))
-			if tab[b2i(lt)<<1|b2i(eq)] {
-				set |= 1 << l
-			}
+func cmp4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f, tab := d.op.cmp32, &d.cond
+	x, y := t.src(&d.src[0]), t.src(&d.src[1])
+	xs, ys := d.src[0].stride, d.src[1].stride
+	var set uint32
+	for v := em; v != 0; v &= v - 1 {
+		l := bits.TrailingZeros32(v)
+		lt, eq := f(le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:]))
+		if tab[b2i(lt)<<1|b2i(eq)] {
+			set |= 1 << l
 		}
-		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 	}
+	t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 }
 
-func cmp8(f func(a, b uint64) (lt, eq bool), c isa.CondMod) laneLoop {
-	tab := condTable(c)
-	return func(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
-		x, y := t.src(&d.src[0]), t.src(&d.src[1])
-		xs, ys := d.src[0].stride, d.src[1].stride
-		var set uint32
-		for v := em; v != 0; v &= v - 1 {
-			l := bits.TrailingZeros32(v)
-			lt, eq := f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]))
-			if tab[b2i(lt)<<1|b2i(eq)] {
-				set |= 1 << l
-			}
+func cmp8(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	f, tab := d.op.cmp64, &d.cond
+	x, y := t.src(&d.src[0]), t.src(&d.src[1])
+	xs, ys := d.src[0].stride, d.src[1].stride
+	var set uint32
+	for v := em; v != 0; v &= v - 1 {
+		l := bits.TrailingZeros32(v)
+		lt, eq := f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]))
+		if tab[b2i(lt)<<1|b2i(eq)] {
+			set |= 1 << l
 		}
-		t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 	}
+	t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
 }
 
 // SEL copies src0 where the flag bit is set and src1 elsewhere; only

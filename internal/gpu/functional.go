@@ -171,7 +171,7 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	// worker writing into its own shard, so each shard counts a signature
 	// once however many of its workgroups execute it, and reusing the
 	// GPU's thread contexts for its index and one scratchpad; the backing
-	// store runs in shared mode for the duration (striped line locks make
+	// store runs in shared mode for the duration (per-word atomics make
 	// idempotent overlapping writes and cross-workgroup atomics
 	// well-defined).
 	shards := make([]*stats.Run, workers)

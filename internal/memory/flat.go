@@ -10,7 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 )
 
 // LineBytes is the cache line size used throughout the hierarchy.
@@ -19,30 +19,31 @@ const LineBytes = 64
 // LineAddr returns the line-aligned address containing addr.
 func LineAddr(addr uint32) uint32 { return addr &^ (LineBytes - 1) }
 
-// flatStripes is the number of lock stripes guarding shared-mode access.
-// Stripes are keyed by cache-line address, so two accesses to the same
-// line always serialize while accesses to different lines almost never
-// contend.
-const flatStripes = 256
-
 // Flat is the functional backing store: a flat, byte-addressable global
 // memory with a bump allocator. Address 0 is reserved so that a zero
 // pointer is always invalid. The store starts small and grows with Alloc,
 // and every access must lie below the allocation high-water mark, so an
 // access past the last buffer faults however much the store has grown.
+// It holds little-endian 32-bit words, so an aligned 32-bit access is
+// one word.
 //
 // By default Flat is single-owner and unsynchronized. The parallel
 // functional engine executes workgroups from several goroutines against
 // one store, entering shared mode via SetShared for the duration: every
-// access then takes the lock stripe(s) of the line(s) it touches, which
-// makes overlapping writes (idempotent flags) and cross-workgroup atomics
-// well-defined. Alloc remains single-owner — buffers are created during
-// workload setup, never mid-launch.
+// word access is then a sync/atomic operation on that word, which makes
+// overlapping writes (idempotent flags) and cross-workgroup atomics
+// well-defined with no lock. Atomicity is per aligned word: an unaligned
+// 32-bit access, or a byte range, touches each word it spans atomically
+// but not all of them at once, so an unaligned AtomicAdd or AtomicMin is
+// indivisible only in single-owner mode. The words are plain uint32s
+// rather than atomic.Uint32s so that single-owner mode, where nothing
+// runs concurrently, stores without a locked instruction. Alloc remains
+// single-owner — buffers are created during workload setup, never
+// mid-launch.
 type Flat struct {
-	data   []byte
+	words  []uint32
 	brk    uint32
 	shared bool
-	locks  [flatStripes]sync.Mutex
 }
 
 // pageBytes is the initial capacity of a memory system's backing store.
@@ -50,12 +51,11 @@ type Flat struct {
 // its first page holds less than twice its high-water mark.
 const pageBytes = 4096
 
-// NewFlat creates a backing store with the given initial capacity.
+// NewFlat creates a backing store with the given initial capacity in
+// bytes, rounded up to a whole line.
 func NewFlat(capacity int) *Flat {
-	if capacity < LineBytes {
-		capacity = LineBytes
-	}
-	return &Flat{data: make([]byte, capacity), brk: LineBytes}
+	capacity = max(capacity, LineBytes)
+	return &Flat{words: make([]uint32, (capacity+3)/4), brk: LineBytes}
 }
 
 // Alloc reserves size bytes and returns the base address, aligned to a
@@ -68,14 +68,14 @@ func (f *Flat) Alloc(size int) uint32 {
 		panic(fmt.Sprintf("memory: Alloc(%d) at %#x overflows the 32-bit address space", size, base))
 	}
 	end := base + uint32(size)
-	if int(end) > len(f.data) {
-		n := len(f.data)
-		for n < int(end) {
+	if need := (int(end) + 3) / 4; need > len(f.words) {
+		n := len(f.words)
+		for n < need {
 			n *= 2
 		}
-		grown := make([]byte, n)
-		copy(grown, f.data[:f.brk])
-		f.data = grown
+		grown := make([]uint32, n)
+		copy(grown, f.words)
+		f.words = grown
 	}
 	f.brk = end
 	return base
@@ -83,6 +83,13 @@ func (f *Flat) Alloc(size int) uint32 {
 
 // Size returns the high-water mark of allocated memory.
 func (f *Flat) Size() int { return int(f.brk) }
+
+// word reports whether [addr, addr+4) is one aligned word inside the
+// allocated memory, and returns its index. Every other 32-bit access
+// takes the out-of-line path of its accessor.
+func (f *Flat) word(addr uint32) (int, bool) {
+	return int(addr >> 2), addr&3 == 0 && addr != 0 && addr <= f.brk-4
+}
 
 // check panics unless [addr, addr+n) lies inside the allocated memory:
 // above the reserved address 0 and below the high-water mark.
@@ -92,116 +99,151 @@ func (f *Flat) check(addr uint32, n int) {
 	}
 }
 
-// SetShared switches concurrent-access protection on or off. It must only
-// be called while no accesses are in flight (before workers start /
-// after they join; the goroutine fork and join order the flag itself).
+// SetShared switches concurrent-access mode on or off. It must only be
+// called while no accesses are in flight (before workers start / after
+// they join; the goroutine fork and join order the flag itself).
 func (f *Flat) SetShared(on bool) { f.shared = on }
 
-// stripes names the lock stripes one shared-mode access holds: first
-// through last, wrapping past the last stripe when first > last. The zero
-// value (f == nil) holds nothing. It is a plain value, so taking and
-// releasing a span allocates nothing.
-type stripes struct {
-	f           *Flat
-	first, last int
+// load reads word i, atomically in shared mode.
+func (f *Flat) load(i int) uint32 {
+	if f.shared {
+		return atomic.LoadUint32(&f.words[i])
+	}
+	return f.words[i]
 }
 
-// lockRange takes the lock stripes covering [addr, addr+n) in ascending
-// stripe order, so concurrent range accesses cannot deadlock, and returns
-// them for unlock. In single-owner mode, or for an empty range, it is
-// free and holds nothing.
-func (f *Flat) lockRange(addr uint32, n int) stripes {
-	if !f.shared || n <= 0 {
-		return stripes{}
+// store writes word i, atomically in shared mode.
+func (f *Flat) store(i int, v uint32) {
+	if f.shared {
+		atomic.StoreUint32(&f.words[i], v)
+		return
 	}
-	lo := int(addr / LineBytes)
-	hi := int((addr + uint32(n) - 1) / LineBytes)
-	s := stripes{f: f, first: lo % flatStripes, last: hi % flatStripes}
-	if hi-lo >= flatStripes { // huge block access: take every stripe
-		s.first, s.last = 0, flatStripes-1
-	}
-	s.each((*sync.Mutex).Lock)
-	return s
+	f.words[i] = v
 }
 
-// unlock releases every stripe of the span.
-func (s stripes) unlock() { s.each((*sync.Mutex).Unlock) }
-
-// each applies op to the span's stripes in ascending stripe order.
-func (s stripes) each(op func(*sync.Mutex)) {
-	first, last := s.first, s.last
-	if first > last { // wraps: stripes 0..last, then first..the end
-		for i := 0; i <= last; i++ {
-			op(&s.f.locks[i])
+// merge replaces the bits of word i that m selects with those of v,
+// leaving the word's other bytes as they are; in shared mode it is one
+// compare-and-swap loop on the word.
+func (f *Flat) merge(i int, v, m uint32) {
+	if !f.shared {
+		f.words[i] = f.words[i]&^m | v&m
+		return
+	}
+	for {
+		old := atomic.LoadUint32(&f.words[i])
+		if atomic.CompareAndSwapUint32(&f.words[i], old, old&^m|v&m) {
+			return
 		}
-		last = flatStripes - 1
-	}
-	for i := first; i <= last; i++ {
-		op(&s.f.locks[i])
 	}
 }
 
 // ReadU32 reads a 32-bit word.
 func (f *Flat) ReadU32(addr uint32) uint32 {
-	f.check(addr, 4)
-	if held := f.lockRange(addr, 4); held.f != nil {
-		defer held.unlock()
+	if i, ok := f.word(addr); ok {
+		return f.load(i)
 	}
-	return binary.LittleEndian.Uint32(f.data[addr:])
+	return f.readUnaligned(addr)
 }
 
 // WriteU32 writes a 32-bit word.
 func (f *Flat) WriteU32(addr uint32, v uint32) {
-	f.check(addr, 4)
-	if held := f.lockRange(addr, 4); held.f != nil {
-		defer held.unlock()
+	if i, ok := f.word(addr); ok {
+		f.store(i, v)
+		return
 	}
-	binary.LittleEndian.PutUint32(f.data[addr:], v)
+	f.writeUnaligned(addr, v)
 }
 
 // AtomicAdd adds v to the word at addr and returns the previous value. In
-// single-owner mode issue order defines atomicity; in shared mode the
-// line's lock stripe makes the read-modify-write indivisible.
+// single-owner mode issue order defines atomicity; in shared mode an
+// aligned word's read-modify-write is one atomic add.
 func (f *Flat) AtomicAdd(addr uint32, v uint32) uint32 {
-	f.check(addr, 4)
-	if held := f.lockRange(addr, 4); held.f != nil {
-		defer held.unlock()
+	i, ok := f.word(addr)
+	if !ok {
+		old := f.readUnaligned(addr)
+		f.writeUnaligned(addr, old+v)
+		return old
 	}
-	old := binary.LittleEndian.Uint32(f.data[addr:])
-	binary.LittleEndian.PutUint32(f.data[addr:], old+v)
+	if f.shared {
+		return atomic.AddUint32(&f.words[i], v) - v
+	}
+	old := f.words[i]
+	f.words[i] = old + v
 	return old
 }
 
 // AtomicMin stores min(old, v) (unsigned) at addr and returns the previous
-// value.
+// value. In shared mode an aligned word's update is a compare-and-swap
+// loop.
 func (f *Flat) AtomicMin(addr uint32, v uint32) uint32 {
+	i, ok := f.word(addr)
+	if !ok {
+		old := f.readUnaligned(addr)
+		if v < old {
+			f.writeUnaligned(addr, v)
+		}
+		return old
+	}
+	if !f.shared {
+		old := f.words[i]
+		f.words[i] = min(old, v)
+		return old
+	}
+	for {
+		old := atomic.LoadUint32(&f.words[i])
+		if v >= old || atomic.CompareAndSwapUint32(&f.words[i], old, v) {
+			return old
+		}
+	}
+}
+
+// readUnaligned reads the 32-bit little-endian value at an unaligned
+// address from the two words it spans, or panics on an access outside
+// the allocated memory.
+func (f *Flat) readUnaligned(addr uint32) uint32 {
 	f.check(addr, 4)
-	if held := f.lockRange(addr, 4); held.f != nil {
-		defer held.unlock()
-	}
-	old := binary.LittleEndian.Uint32(f.data[addr:])
-	if v < old {
-		binary.LittleEndian.PutUint32(f.data[addr:], v)
-	}
-	return old
+	i, s := int(addr>>2), 8*(addr&3)
+	return f.load(i)>>s | f.load(i+1)<<(32-s)
+}
+
+// writeUnaligned writes v at an unaligned address into the two words it
+// spans, or panics on an access outside the allocated memory.
+func (f *Flat) writeUnaligned(addr uint32, v uint32) {
+	f.check(addr, 4)
+	i, s := int(addr>>2), 8*(addr&3)
+	f.merge(i, v<<s, ^uint32(0)<<s)
+	f.merge(i+1, v>>(32-s), ^uint32(0)>>(32-s))
 }
 
 // WriteBytes copies src to memory at addr.
 func (f *Flat) WriteBytes(addr uint32, src []byte) {
 	f.check(addr, len(src))
-	if held := f.lockRange(addr, len(src)); held.f != nil {
-		defer held.unlock()
+	for len(src) > 0 {
+		i, s := int(addr>>2), 8*(addr&3)
+		if s == 0 && len(src) >= 4 {
+			f.store(i, binary.LittleEndian.Uint32(src))
+			addr, src = addr+4, src[4:]
+			continue
+		}
+		f.merge(i, uint32(src[0])<<s, 0xFF<<s)
+		addr, src = addr+1, src[1:]
 	}
-	copy(f.data[addr:], src)
 }
 
 // ReadBytes copies memory at addr into dst.
 func (f *Flat) ReadBytes(addr uint32, dst []byte) {
 	f.check(addr, len(dst))
-	if held := f.lockRange(addr, len(dst)); held.f != nil {
-		defer held.unlock()
+	for len(dst) > 0 {
+		i, s := int(addr>>2), 8*(addr&3)
+		w := f.load(i)
+		if s == 0 && len(dst) >= 4 {
+			binary.LittleEndian.PutUint32(dst, w)
+			addr, dst = addr+4, dst[4:]
+			continue
+		}
+		dst[0] = byte(w >> s)
+		addr, dst = addr+1, dst[1:]
 	}
-	copy(dst, f.data[addr:])
 }
 
 // SLM is the shared local memory of one workgroup: a small, fast,

@@ -2,8 +2,11 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -53,12 +56,12 @@ func TestFlatGrowthKeepsContents(t *testing.T) {
 			f.WriteU32(bufs[j]+uint32(4*i), uint32(1000*j+i))
 		}
 	}
-	if c := len(f.data); c > pageBytes && c >= 2*f.Size() {
+	if c := 4 * len(f.words); c > pageBytes && c >= 2*f.Size() {
 		t.Errorf("capacity %d for a %d-byte high-water mark; doubling from one page stays under twice it", c, f.Size())
 	}
 	// A growth past two doublings is one allocation.
 	g := NewFlat(pageBytes)
-	if n := testing.AllocsPerRun(1, func() { g.Alloc(2 * len(g.data)) }); n != 1 {
+	if n := testing.AllocsPerRun(1, func() { g.Alloc(8 * len(g.words)) }); n != 1 {
 		t.Errorf("a growing Alloc made %.0f allocations, want 1", n)
 	}
 	for j, buf := range bufs {
@@ -73,35 +76,42 @@ func TestFlatGrowthKeepsContents(t *testing.T) {
 // TestFlatBoundsAtHighWaterMark checks that the bounds are the
 // allocations, not the capacity: an access ending exactly at the
 // high-water mark succeeds and one byte further panics, though the
-// store's capacity extends well past both.
+// store's capacity extends well past both, in single-owner and in
+// shared mode. At 100 bytes the access one byte past is unaligned; at
+// 103 it is an aligned word whose last byte is past the mark.
 func TestFlatBoundsAtHighWaterMark(t *testing.T) {
-	f := NewFlat(pageBytes)
-	buf := f.Alloc(100)
-	end := buf + 100
-	if f.Size() != int(end) || len(f.data) <= int(end)+4 {
-		t.Fatalf("high-water mark %d, capacity %d; the test needs spare capacity past %d", f.Size(), len(f.data), end)
-	}
-	f.WriteU32(end-4, 7)
-	f.WriteBytes(buf, make([]byte, 100))
-	for _, tc := range []struct {
-		name string
-		op   func()
-	}{
-		{"ReadU32", func() { f.ReadU32(end - 3) }},
-		{"WriteU32", func() { f.WriteU32(end-3, 1) }},
-		{"AtomicAdd", func() { f.AtomicAdd(end-3, 1) }},
-		{"AtomicMin", func() { f.AtomicMin(end-3, 1) }},
-		{"ReadBytes", func() { f.ReadBytes(buf, make([]byte, 101)) }},
-		{"WriteBytes", func() { f.WriteBytes(buf, make([]byte, 101)) }},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s one byte past the high-water mark did not panic", tc.name)
-				}
-			}()
-			tc.op()
-		}()
+	for _, shared := range []bool{false, true} {
+		for _, size := range []int{100, 103} {
+			f := NewFlat(pageBytes)
+			buf := f.Alloc(size)
+			end := buf + uint32(size)
+			if f.Size() != int(end) || 4*len(f.words) <= int(end)+4 {
+				t.Fatalf("high-water mark %d, capacity %d; the test needs spare capacity past %d", f.Size(), 4*len(f.words), end)
+			}
+			f.SetShared(shared)
+			f.WriteU32(end-4, 7)
+			f.WriteBytes(buf, make([]byte, size))
+			for _, tc := range []struct {
+				name string
+				op   func()
+			}{
+				{"ReadU32", func() { f.ReadU32(end - 3) }},
+				{"WriteU32", func() { f.WriteU32(end-3, 1) }},
+				{"AtomicAdd", func() { f.AtomicAdd(end-3, 1) }},
+				{"AtomicMin", func() { f.AtomicMin(end-3, 1) }},
+				{"ReadBytes", func() { f.ReadBytes(buf, make([]byte, size+1)) }},
+				{"WriteBytes", func() { f.WriteBytes(buf, make([]byte, size+1)) }},
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("shared=%v size %d: %s one byte past the high-water mark did not panic", shared, size, tc.name)
+						}
+					}()
+					tc.op()
+				}()
+			}
+		}
 	}
 }
 
@@ -126,47 +136,166 @@ func TestFlatAtomics(t *testing.T) {
 	}
 }
 
-// TestFlatSharedAccessZeroAlloc pins shared mode's lock span as a plain
-// value: every word access and atomic, and a multi-line byte range that
-// wraps past the last lock stripe, allocate nothing — and every stripe is
-// free again afterwards, including after a range covering all of them.
-// An empty range takes no stripe.
+// TestFlatSharedAccessZeroAlloc checks that shared mode allocates
+// nothing: every word access and atomic, aligned and unaligned, and
+// byte ranges spanning several lines.
 func TestFlatSharedAccessZeroAlloc(t *testing.T) {
 	f := NewFlat(64)
-	f.Alloc(2 * flatStripes * LineBytes)
+	f.Alloc(16 * LineBytes)
 	f.SetShared(true)
 	defer f.SetShared(false)
 
-	const word = 5 * LineBytes
-	// Lines flatStripes-1 .. flatStripes+1 take stripes 255, 0 and 1.
-	wrap := uint32((flatStripes - 1) * LineBytes)
-	buf := make([]byte, 3*LineBytes)
-	huge := make([]byte, (flatStripes+1)*LineBytes)
+	buf := make([]byte, 3*LineBytes+3)
 	var sink uint32
-	for _, tc := range []struct {
-		name string
-		op   func()
-	}{
-		{"ReadU32", func() { sink += f.ReadU32(word) }},
-		{"WriteU32", func() { f.WriteU32(word, sink) }},
-		{"AtomicAdd", func() { sink += f.AtomicAdd(word, 1) }},
-		{"AtomicMin", func() { sink += f.AtomicMin(word, 7) }},
-		{"WriteBytes", func() { f.WriteBytes(wrap, buf) }},
-		{"ReadBytes", func() { f.ReadBytes(wrap, buf) }},
-		{"ReadBytes/every stripe", func() { f.ReadBytes(LineBytes, huge) }},
-	} {
-		if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
-			t.Errorf("shared-mode %s allocates %.1f times per call, want 0", tc.name, allocs)
+	for _, addr := range []uint32{5 * LineBytes, 5*LineBytes + 3} {
+		for _, tc := range []struct {
+			name string
+			op   func()
+		}{
+			{"ReadU32", func() { sink += f.ReadU32(addr) }},
+			{"WriteU32", func() { f.WriteU32(addr, sink) }},
+			{"AtomicAdd", func() { sink += f.AtomicAdd(addr, 1) }},
+			{"AtomicMin", func() { sink += f.AtomicMin(addr, 7) }},
+			{"WriteBytes", func() { f.WriteBytes(addr, buf) }},
+			{"ReadBytes", func() { f.ReadBytes(addr, buf) }},
+		} {
+			if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
+				t.Errorf("shared-mode %s at %#x allocates %.1f times per call, want 0", tc.name, addr, allocs)
+			}
 		}
 	}
-	if held := f.lockRange(LineBytes, 0); held.f != nil {
-		t.Fatalf("an empty range took stripes %d..%d", held.first, held.last)
+}
+
+// TestFlatSharedAtomicsConcurrent runs two goroutines against one word
+// in shared mode. Each makes n AtomicAdd(a, 1) calls: the word ends at
+// exactly 2n and the previous values returned are exactly 0..2n-1, so no
+// add was lost or seen twice. Concurrent AtomicMin calls leave the
+// minimum of every operand. Two goroutines storing one value to one word
+// (bfs's continue flag) and each writing its own byte of shared words
+// leave every write in place, with no data race under -race.
+func TestFlatSharedAtomicsConcurrent(t *testing.T) {
+	const n = 20000
+	f := NewFlat(pageBytes)
+	base := f.Alloc(2 * LineBytes)
+	add, least, flag := base, base+4, base+8
+	bytesAt := base + LineBytes
+	f.WriteU32(least, ^uint32(0))
+	f.SetShared(true)
+
+	var wg sync.WaitGroup
+	olds := make([][]uint32, 2)
+	for g := range olds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < n; i++ {
+				olds[g] = append(olds[g], f.AtomicAdd(add, 1))
+				f.AtomicMin(least, 1000+uint32(rng.Intn(1<<20)))
+				f.WriteU32(flag, 1)
+				f.WriteBytes(bytesAt+uint32(i%16)*4+uint32(g), []byte{byte(g + 1)})
+			}
+		}()
 	}
-	for i := range f.locks {
-		if !f.locks[i].TryLock() {
-			t.Fatalf("stripe %d still held after the accesses returned", i)
+	wg.Wait()
+	f.SetShared(false)
+
+	if got := f.ReadU32(add); got != 2*n {
+		t.Fatalf("word after 2x%d concurrent adds = %d, want %d", n, got, 2*n)
+	}
+	all := append(olds[0], olds[1]...)
+	slices.Sort(all)
+	for i, v := range all {
+		if v != uint32(i) {
+			t.Fatalf("sorted previous values [%d] = %d, want %d: an add was lost or seen twice", i, v, i)
 		}
-		f.locks[i].Unlock()
+	}
+	want := ^uint32(0)
+	for g := range olds {
+		rng := rand.New(rand.NewSource(int64(g)))
+		for i := 0; i < n; i++ {
+			want = min(want, 1000+uint32(rng.Intn(1<<20)))
+		}
+	}
+	if got := f.ReadU32(least); got != want {
+		t.Fatalf("word after concurrent AtomicMin = %d, want the minimum %d", got, want)
+	}
+	if got := f.ReadU32(flag); got != 1 {
+		t.Fatalf("flag = %d after concurrent stores of 1", got)
+	}
+	for w := uint32(0); w < 16; w++ {
+		if got := f.ReadU32(bytesAt + 4*w); got != 0x0201 {
+			t.Fatalf("word %d = %#x after each goroutine wrote its own byte, want 0x0201", w, got)
+		}
+	}
+}
+
+// byteRef is the byte-wise reference model of Flat's accessors: a
+// little-endian byte slice with no notion of words.
+type byteRef []byte
+
+func (r byteRef) read(addr uint32) uint32     { return binary.LittleEndian.Uint32(r[addr:]) }
+func (r byteRef) write(addr uint32, v uint32) { binary.LittleEndian.PutUint32(r[addr:], v) }
+
+// TestFlatUnalignedMatchesBytes runs every accessor at byte offsets 0
+// to 3 of a word, in single-owner and in shared mode, and checks each
+// result and the whole store against the byte-wise reference.
+func TestFlatUnalignedMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, shared := range []bool{false, true} {
+		for off := uint32(0); off < 4; off++ {
+			f := NewFlat(pageBytes)
+			base := f.Alloc(4 * LineBytes)
+			ref := make(byteRef, f.Size())
+			rng.Read(ref[base:])
+			f.WriteBytes(base, ref[base:])
+			f.SetShared(shared)
+			where := func(op string, addr uint32) string {
+				return fmt.Sprintf("shared=%v offset %d: %s at %#x", shared, off, op, addr)
+			}
+			for i := 0; i < 200; i++ {
+				addr := base + 4*uint32(rng.Intn(4*LineBytes/4-2)) + off
+				v := rng.Uint32()
+				switch i % 6 {
+				case 0:
+					if got, want := f.ReadU32(addr), ref.read(addr); got != want {
+						t.Fatalf("%s = %#x, reference %#x", where("ReadU32", addr), got, want)
+					}
+				case 1:
+					f.WriteU32(addr, v)
+					ref.write(addr, v)
+				case 2:
+					old := ref.read(addr)
+					ref.write(addr, old+v)
+					if got := f.AtomicAdd(addr, v); got != old {
+						t.Fatalf("%s returned %#x, reference %#x", where("AtomicAdd", addr), got, old)
+					}
+				case 3:
+					old := ref.read(addr)
+					ref.write(addr, min(old, v))
+					if got := f.AtomicMin(addr, v); got != old {
+						t.Fatalf("%s returned %#x, reference %#x", where("AtomicMin", addr), got, old)
+					}
+				case 4:
+					src := make([]byte, rng.Intn(11))
+					rng.Read(src)
+					f.WriteBytes(addr, src)
+					copy(ref[addr:], src)
+				case 5:
+					dst := make([]byte, rng.Intn(11))
+					f.ReadBytes(addr, dst)
+					if want := ref[addr : addr+uint32(len(dst))]; !bytes.Equal(dst, want) {
+						t.Fatalf("%s = %x, reference %x", where("ReadBytes", addr), dst, want)
+					}
+				}
+			}
+			f.SetShared(false)
+			got := make([]byte, f.Size()-int(base))
+			f.ReadBytes(base, got)
+			if !bytes.Equal(got, ref[base:]) {
+				t.Fatalf("shared=%v offset %d: store differs from the byte-wise reference", shared, off)
+			}
+		}
 	}
 }
 

@@ -73,6 +73,33 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader iterates a trace stream.
 type Reader struct {
 	r *bufio.Reader
+	n int // index of the next record
+}
+
+// RecordError reports a trace record no engine writes: a width that is
+// not a SIMD width (1, 4, 8, 16 or 32) or a group outside 1–32. Costing
+// one would invent a kernel of that width and cycle counts for it.
+type RecordError struct {
+	Index  int // the record's position in the stream, from 0
+	Record Record
+	Reason string
+}
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("trace: record %d: %s", e.Index, e.Reason)
+}
+
+// check returns the reason rec cannot be costed, or "".
+func (rec Record) check() string {
+	switch rec.Width {
+	case 1, 4, 8, 16, 32:
+	default:
+		return fmt.Sprintf("width %d is not a SIMD width (1, 4, 8, 16 or 32)", rec.Width)
+	}
+	if rec.Group < 1 || rec.Group > 32 {
+		return fmt.Sprintf("group %d is outside 1-32", rec.Group)
+	}
+	return ""
 }
 
 // NewReader opens a trace stream, validating the header.
@@ -91,7 +118,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next returns the next record, or io.EOF at end of stream.
+// Next returns the next record, or io.EOF at end of stream. A record
+// with a width or group no engine writes is a *RecordError.
 func (r *Reader) Next() (Record, error) {
 	var buf [recordSize]byte
 	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
@@ -100,12 +128,17 @@ func (r *Reader) Next() (Record, error) {
 		}
 		return Record{}, fmt.Errorf("trace: reading record: %w", err)
 	}
-	return Record{
+	rec := Record{
 		Width: buf[0],
 		Group: buf[1],
 		Pipe:  buf[2],
 		Mask:  mask.Mask(binary.LittleEndian.Uint32(buf[4:8])),
-	}, nil
+	}
+	if reason := rec.check(); reason != "" {
+		return Record{}, &RecordError{Index: r.n, Record: rec, Reason: reason}
+	}
+	r.n++
+	return rec, nil
 }
 
 // Source produces records one at a time; Next reports false at end.

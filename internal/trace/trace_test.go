@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,6 +58,71 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
+	}
+}
+
+// TestReaderRejectsBadRecords streams valid records and one bad one and
+// expects Next to return the valid records, then a *RecordError naming
+// the bad record's index, for every width that is not a SIMD width and
+// every group outside 1-32; the bounds themselves are accepted.
+func TestReaderRejectsBadRecords(t *testing.T) {
+	good := Record{Width: 16, Group: 4, Mask: 0xFFFF}
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		bad  string // the reason's prefix, "" for a valid record
+	}{
+		{"width 200", Record{Width: 200, Group: 4}, "width 200"},
+		{"width 0", Record{Width: 0, Group: 4}, "width 0"},
+		{"width 2", Record{Width: 2, Group: 2}, "width 2"},
+		{"width 64", Record{Width: 64, Group: 4}, "width 64"},
+		{"group 0", Record{Width: 16, Group: 0}, "group 0"},
+		{"group 33", Record{Width: 32, Group: 33}, "group 33"},
+		{"group 200", Record{Width: 16, Group: 200}, "group 200"},
+		{"width 1 group 1", Record{Width: 1, Group: 1, Mask: 1}, ""},
+		{"width 32 group 32", Record{Width: 32, Group: 32, Mask: 0xFFFFFFFF}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []Record{good, good, tc.rec, good} {
+				if err := w.Write(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewReader(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := r.Next(); err != nil {
+					t.Fatalf("valid record %d: %v", i, err)
+				}
+			}
+			rec, err := r.Next()
+			if tc.bad == "" {
+				if err != nil || rec != tc.rec {
+					t.Fatalf("Next = %+v, %v; want %+v", rec, err, tc.rec)
+				}
+				return
+			}
+			var re *RecordError
+			if !errors.As(err, &re) {
+				t.Fatalf("Next = %+v, %v; want a *RecordError", rec, err)
+			}
+			if re.Index != 2 || re.Record != tc.rec || !strings.HasPrefix(re.Reason, tc.bad) {
+				t.Fatalf("error %+v; want record 2, %+v, a reason starting %q", re, tc.rec, tc.bad)
+			}
+			if want := "trace: record 2: " + tc.bad; !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("error %q does not start with %q", err, want)
+			}
+		})
 	}
 }
 

@@ -709,6 +709,10 @@ func setupKNN(g *gpu.GPU, n int) (*Instance, error) {
 	}
 	spec := gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 64, Args: args}
 	check := func() error {
+		var out [topK][]float32
+		for s := range out {
+			out[s] = g.ReadBufferF32(outBufs[s], n)
+		}
 		for i := 0; i < n; i++ {
 			// Host insertion mirror (identical op order).
 			best := [topK]float32{1e30, 1e30, 1e30, 1e30}
@@ -725,8 +729,7 @@ func setupKNN(g *gpu.GPU, n int) (*Instance, error) {
 				}
 			}
 			for s := 0; s < topK; s++ {
-				got := g.ReadBufferF32(outBufs[s], n)[i]
-				if got != best[s] {
+				if got := out[s][i]; got != best[s] {
 					return fmt.Errorf("knn[%d] slot %d = %v, want %v", i, s, got, best[s])
 				}
 			}
