@@ -42,9 +42,9 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/ ./internal/memory/
 
-.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke
+.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke results-check
 
-check: build vet fmt-check test race bench-check examples-smoke
+check: build vet fmt-check test race bench-check examples-smoke results-check
 
 # examples-smoke runs each example program and diffs its standard output
 # against testdata/examples/<name>.golden. Every example is
@@ -60,6 +60,13 @@ examples-smoke:
 			|| { echo "examples-smoke: $$e output drifted from testdata/examples/$$e.golden"; exit 1; }; \
 	done; \
 	echo "examples-smoke: $(words $(EXAMPLES)) examples match their goldens"
+
+# results-check reruns the full-scale experiment report and diffs it
+# against docs/results-full.txt, so the checked-in report cannot go stale.
+# Every experiment is deterministic at any worker count; a diff is a
+# change in what the simulator reports.
+results-check:
+	$(GO) run ./cmd/simd-bench -all | diff -u docs/results-full.txt -
 
 # verify runs the differential verification harness (DESIGN.md §10):
 # every workload at quick sizes, each captured instruction checked

@@ -85,24 +85,16 @@ func captureTrace(name string, n int, path string) error {
 	if err != nil {
 		return err
 	}
-	g := gpu.New(gpu.DefaultConfig())
-	inst, err := spec.Setup(g, orDefault(n, spec.DefaultN))
-	if err != nil {
+	// A failed write sticks in the writer's buffer; Flush returns it.
+	visit := func(_, _ int, res eu.ExecResult) { _ = w.Write(trace.RecordOf(res)) }
+	opts := workloads.ExecOptions{Size: n, Visit: visit}
+	if _, err := workloads.ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), spec, opts); err != nil {
 		return err
 	}
-	visit := func(_, _ int, res eu.ExecResult) {
-		_ = w.Write(trace.RecordOf(res))
-	}
-	for iter := 0; ; iter++ {
-		ls := inst.Next(iter)
-		if ls == nil {
-			break
-		}
-		if _, err := g.RunFunctionalCtx(context.Background(), *ls, visit); err != nil {
-			return err
-		}
-	}
 	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("captured %d records to %s\n", w.Count(), path)
@@ -148,11 +140,4 @@ func writeSynth(p *trace.SynthParams, path string) error {
 	}
 	fmt.Printf("wrote %d records to %s\n", w.Count(), path)
 	return nil
-}
-
-func orDefault(n, def int) int {
-	if n > 0 {
-		return n
-	}
-	return def
 }

@@ -1,13 +1,53 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"intrawarp/internal/gpu"
 	"intrawarp/internal/trace"
+	"intrawarp/internal/workloads"
 )
+
+// TestCaptureMatchesExecution captures bsearch at a small size, as
+// -capture does, and checks that analyzing the file reproduces the mask
+// accounting of a plain execution of the same workload and size.
+func TestCaptureMatchesExecution(t *testing.T) {
+	const name, n = "bsearch", 256
+	path := filepath.Join(t.TempDir(), name+".trace")
+	if err := captureTrace(name, n, path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, srcErr := trace.AsSource(r)
+	got := trace.Analyze(name, src)
+	if *srcErr != nil {
+		t.Fatal(*srcErr)
+	}
+	spec, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workloads.ExecuteCtx(context.Background(), gpu.New(gpu.DefaultConfig()), spec, workloads.ExecOptions{Size: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Instructions == 0 || !got.MaskCountsEqual(want) {
+		t.Fatalf("captured trace analyzes to %d instructions, %d active lanes; execution had %d, %d",
+			got.Instructions, got.ActiveLanes, want.Instructions, want.ActiveLanes)
+	}
+}
 
 // TestAnalyzeFileRejectsBadRecord writes a trace whose second record has
 // width 200 and expects analyzeFile, which -analyze runs before exiting

@@ -42,7 +42,6 @@ var timedAllocMasks = []mask.Mask{0xAAAA, 0x5555, 0xF0F0, 0x137F, 0x8001, 0xFFFF
 func TestTimedExecutionZeroAlloc(t *testing.T) {
 	p := mustDecode(divergentLoopProgram(24))
 	e, sys := newTestEU(compaction.SCC)
-	e.Cfg.Arbiter = ArbiterAgeBased // cover the sorting arbiter too
 	if e.probe != nil {
 		t.Fatal("test requires the probes-disabled configuration")
 	}

@@ -17,11 +17,6 @@ type Config struct {
 	IssueWidth    int // instructions issued per arbitration pass
 	Policy        compaction.Policy
 
-	// Arbiter selects the thread-arbitration policy of pipeline stage 4
-	// (the paper assumes a "rotating/age-based priority arbiter"; both are
-	// implemented).
-	Arbiter ArbiterPolicy
-
 	// JumpPenalty models the front-end refetch cost: a thread whose IP
 	// moved non-sequentially (taken IF/ELSE jump, loop back-edge, BREAK)
 	// cannot issue again for this many cycles while its instruction queue
@@ -34,18 +29,6 @@ type Config struct {
 	// is one untaken branch.
 	Probe obs.Probe
 }
-
-// ArbiterPolicy selects how ready threads are prioritized for issue.
-type ArbiterPolicy uint8
-
-// Arbitration policies.
-const (
-	// ArbiterRoundRobin rotates priority one thread per arbitration pass.
-	ArbiterRoundRobin ArbiterPolicy = iota
-	// ArbiterAgeBased prefers the thread that has gone longest without
-	// issuing an instruction.
-	ArbiterAgeBased
-)
 
 // DefaultConfig returns the Table 3 EU configuration.
 func DefaultConfig() Config {
@@ -87,11 +70,9 @@ type EU struct {
 	wbMin       int64     // earliest due writeback (sentinel when wb empty)
 	outstanding []int     // per-thread in-flight memory loads
 
-	lastIssue []int64 // per-thread cycle of last issue (age-based arbiter)
-	readyAt   []int64 // per-thread front-end refill deadline (jump penalty)
+	readyAt []int64 // per-thread front-end refill deadline (jump penalty)
 
 	nextArb int
-	order   []int // scratch for arbitration ordering
 	Busy    int64 // execution-pipe occupancy cycles (the paper's "EU cycles")
 
 	// compFree recycles SEND completion records so the global-memory path
@@ -131,9 +112,7 @@ func New(id int, cfg Config, mem *memory.System) *EU {
 	e.sb = make([][]span, cfg.ThreadsPerEU)
 	e.flagBusy = make([][2]int, cfg.ThreadsPerEU)
 	e.outstanding = make([]int, cfg.ThreadsPerEU)
-	e.lastIssue = make([]int64, cfg.ThreadsPerEU)
 	e.readyAt = make([]int64, cfg.ThreadsPerEU)
-	e.order = make([]int, cfg.ThreadsPerEU)
 	for i := range e.Threads {
 		e.Threads[i] = &Thread{ID: id*cfg.ThreadsPerEU + i, State: ThreadIdle}
 	}
@@ -172,26 +151,14 @@ func (e *EU) Tick(now int64) {
 		return
 	}
 	n := len(e.Threads)
-	// Arbitration order: rotating priority or oldest-first.
-	j := e.nextArb
-	for i := range e.order {
-		e.order[i] = j
-		if j++; j == n {
-			j = 0
-		}
-	}
-	if e.Cfg.Arbiter == ArbiterAgeBased {
-		// Insertion sort by last-issue cycle (n ≤ 8).
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && e.lastIssue[e.order[j]] < e.lastIssue[e.order[j-1]]; j-- {
-				e.order[j], e.order[j-1] = e.order[j-1], e.order[j]
-			}
-		}
-	}
 	issued := 0
 	sawFrontend, sawMemory, sawScoreboard, sawPipe := false, false, false, false
 	for i := 0; i < n && issued < e.Cfg.IssueWidth; i++ {
-		ti := e.order[i]
+		// Rotating priority: each pass starts one thread further on.
+		ti := e.nextArb + i
+		if ti >= n {
+			ti -= n
+		}
 		th := e.Threads[ti]
 		if th.State != ThreadReady {
 			continue
@@ -269,7 +236,6 @@ func (e *EU) issue(ti int, now int64) {
 	in := d.in
 	ipBefore := th.IP
 	res := th.Step(e.mem.Mem)
-	e.lastIssue[ti] = now
 	if e.Cfg.JumpPenalty > 0 && th.State == ThreadReady && th.IP != ipBefore+1 {
 		// Non-sequential fetch: the thread's instruction queue refills.
 		e.readyAt[ti] = now + int64(e.Cfg.JumpPenalty)
@@ -592,8 +558,7 @@ func (e *EU) BeginLaunch() {
 	e.Windows = [stats.NumStallKinds]int64{}
 	e.pipeFree = [2]int64{}
 	e.sendFree = 0
-	for i := range e.lastIssue {
-		e.lastIssue[i] = 0
+	for i := range e.readyAt {
 		e.readyAt[i] = 0
 	}
 	e.needEval = true
@@ -735,12 +700,8 @@ func (e *EU) Quiet() bool {
 	return len(e.wb) == 0
 }
 
-// FreeSlots returns the indices of idle or retired thread contexts
-// available for dispatch.
-func (e *EU) FreeSlots() []int { return e.FreeSlotsInto(nil) }
-
 // IdleSlotsInto appends the workgroup-dispatchable thread-context
-// indices to dst[:0]. Unlike FreeSlotsInto it excludes ThreadDone
+// indices to dst[:0], reusing its storage. It excludes ThreadDone
 // contexts: a done thread can still belong to a live workgroup, and
 // re-dispatching its slot would alias the old group's membership onto
 // the new threads — the old group's barrier bookkeeping would then
@@ -750,18 +711,6 @@ func (e *EU) IdleSlotsInto(dst []int) []int {
 	dst = dst[:0]
 	for i, th := range e.Threads {
 		if th.State == ThreadIdle && e.outstanding[i] == 0 {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// FreeSlotsInto appends the free thread-context indices to dst[:0] so the
-// per-cycle dispatch loop can reuse one scratch slice.
-func (e *EU) FreeSlotsInto(dst []int) []int {
-	dst = dst[:0]
-	for i, th := range e.Threads {
-		if (th.State == ThreadIdle || th.State == ThreadDone) && e.outstanding[i] == 0 {
 			dst = append(dst, i)
 		}
 	}

@@ -1,6 +1,7 @@
 package eu
 
 import (
+	"slices"
 	"testing"
 
 	"intrawarp/internal/compaction"
@@ -207,24 +208,37 @@ func TestOperandFetchSavings(t *testing.T) {
 	}
 }
 
-func TestFreeSlotsAndQuiet(t *testing.T) {
+// TestIdleSlotsAndQuiet checks which thread contexts IdleSlotsInto
+// offers for dispatch: every one at first, none that holds a thread, and
+// not a halted thread's either until it is marked idle, as the GPU does
+// when the thread's whole workgroup retires.
+func TestIdleSlotsAndQuiet(t *testing.T) {
 	e, sys := newTestEU(compaction.Baseline)
-	if len(e.FreeSlots()) != e.Cfg.ThreadsPerEU {
-		t.Fatal("all slots must be free initially")
+	all := e.Cfg.ThreadsPerEU
+	var slots []int
+	if slots = e.IdleSlotsInto(slots); len(slots) != all {
+		t.Fatalf("idle slots %v initially, want all %d", slots, all)
 	}
 	if !e.Quiet() {
 		t.Fatal("idle EU must be quiet")
 	}
-	loadThread(e, 0, independentProgram(4), 0xFFFF)
-	if len(e.FreeSlots()) != e.Cfg.ThreadsPerEU-1 {
-		t.Fatal("loaded slot still reported free")
+	th := loadThread(e, 0, independentProgram(4), 0xFFFF)
+	if slots = e.IdleSlotsInto(slots); len(slots) != all-1 || slices.Contains(slots, 0) {
+		t.Fatalf("idle slots %v with a thread loaded in slot 0", slots)
 	}
 	if e.Quiet() {
 		t.Fatal("EU with ready thread must not be quiet")
 	}
 	runEU(t, e, sys)
-	if len(e.FreeSlots()) != e.Cfg.ThreadsPerEU {
-		t.Fatal("slots not reclaimed after HALT")
+	if th.State != ThreadDone {
+		t.Fatalf("thread state %v after HALT, want done", th.State)
+	}
+	if slots = e.IdleSlotsInto(slots); len(slots) != all-1 || slices.Contains(slots, 0) {
+		t.Fatalf("idle slots %v: a halted thread's slot is offered before it is marked idle", slots)
+	}
+	th.State = ThreadIdle
+	if slots = e.IdleSlotsInto(slots); len(slots) != all {
+		t.Fatalf("idle slots %v after the halted thread was marked idle, want all %d", slots, all)
 	}
 }
 
@@ -267,30 +281,6 @@ func TestFlagDependencyStall(t *testing.T) {
 		}
 		if got := th.GRF.ReadU32(20*32 + lane*4); got != want {
 			t.Fatalf("lane %d = %d, want %d", lane, got, want)
-		}
-	}
-}
-
-func TestAgeBasedArbiterFairness(t *testing.T) {
-	// Both arbiters must complete the same work with identical functional
-	// results; the age-based one must not starve any thread.
-	for _, pol := range []ArbiterPolicy{ArbiterRoundRobin, ArbiterAgeBased} {
-		sys := memory.NewSystem(memory.DefaultConfig())
-		cfg := DefaultConfig()
-		cfg.Arbiter = pol
-		e := New(0, cfg, sys)
-		ths := make([]*Thread, 4)
-		for i := range ths {
-			ths[i] = loadThread(e, i, independentProgram(16), 0xFFFF)
-		}
-		runEU(t, e, sys)
-		for i, th := range ths {
-			if th.State != ThreadDone {
-				t.Fatalf("arbiter %d: thread %d not done", pol, i)
-			}
-			if th.GRF.ReadU32((20+2*15)*32) != 15 {
-				t.Fatalf("arbiter %d: thread %d wrong result", pol, i)
-			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/mask"
 	"intrawarp/internal/par"
 	"intrawarp/internal/stats"
@@ -30,23 +29,11 @@ func init() {
 // returned slices are identical at any worker count.
 func workloadRuns(ctx context.Context, quick bool, workers int) (sim, traces []*stats.Run, err error) {
 	all := workloads.All()
-	sim = make([]*stats.Run, len(all))
-	if err := par.ForErr(workers, len(all), func(i int) error {
-		s := all[i]
-		// Each cell owns a private GPU; keep its functional engine serial
-		// so parallelism lives at the cell level, not nested below it.
-		g := gpu.New(gpu.DefaultConfig().WithWorkers(1))
-		n := 0
-		if quick {
-			n = quickScale(s)
-		}
-		run, err := workloads.ExecuteCtx(ctx, g, s, workloads.ExecOptions{Size: n})
-		if err != nil {
-			return err
-		}
-		sim[i] = run
-		return nil
-	}); err != nil {
+	cells := make([]cell, len(all))
+	for i, s := range all {
+		cells[i] = cell{spec: s, size: sizeFor(s, quick), verify: true}
+	}
+	if sim, err = runCells(ctx, workers, cells); err != nil {
 		return nil, nil, err
 	}
 	progs := trace.SynthAll()
@@ -60,13 +47,6 @@ func workloadRuns(ctx context.Context, quick bool, workers int) (sim, traces []*
 		traces[i] = trace.Analyze(p.Name, &trace.SliceSource{Records: pp.Generate()})
 	})
 	return sim, traces, nil
-}
-
-// quickScale shrinks problem sizes for fast experiment runs. The sizes
-// live in internal/workloads (QuickSize) so the differential
-// verification harness sweeps the same quick set.
-func quickScale(s *workloads.Spec) int {
-	return workloads.QuickSize(s)
 }
 
 func runFig3(ctx *Context) error {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/workloads"
 )
 
@@ -31,44 +30,43 @@ var energyWorkloads = []string{
 }
 
 // Energy measures the weighted dynamic-energy proxy under every policy.
-func Energy(ctx context.Context, quick bool) ([]EnergyRow, error) {
-	var rows []EnergyRow
+// The workload × policy cells fan out over a worker pool of the given
+// size (below 1 selects GOMAXPROCS).
+func Energy(ctx context.Context, quick bool, workers int) ([]EnergyRow, error) {
+	var cells []cell
 	for _, name := range energyWorkloads {
 		s, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		n := 0
-		if quick {
-			n = quickScale(s)
-		}
+		cells = append(cells, cell{spec: s, size: sizeFor(s, quick), timed: true, verify: true}.eachPolicy(compaction.Policies[:]...)...)
+	}
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]EnergyRow, len(energyWorkloads))
+	for i, name := range energyWorkloads {
 		row := EnergyRow{Name: name}
-		var ref float64
 		for _, p := range compaction.Policies {
-			g := gpu.New(gpu.DefaultConfig().WithPolicy(p))
-			run, err := workloads.ExecuteCtx(ctx, g, s, workloads.ExecOptions{Size: n, Timed: true})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, p, err)
-			}
+			run := runs[i*compaction.NumPolicies+int(p)]
 			e := run.EnergyProxy()
-			if p == compaction.IvyBridge {
-				ref = e
-			}
 			row.Relative[p] = e
 			if p == compaction.SCC && e > 0 {
 				row.SCCCrossbarShare = 0.2 * float64(run.CrossbarOps) / e
 			}
 		}
-		for i := range row.Relative {
-			row.Relative[i] /= ref
+		ref := row.Relative[compaction.IvyBridge]
+		for k := range row.Relative {
+			row.Relative[k] /= ref
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
 }
 
 func runEnergy(ctx *Context) error {
-	rows, err := Energy(ctx.context(), ctx.Quick)
+	rows, err := Energy(ctx.context(), ctx.Quick, ctx.Workers)
 	if err != nil {
 		return err
 	}

@@ -193,7 +193,7 @@ func TestInterwarpShape(t *testing.T) {
 // divergent workloads; BCC must save operand-fetch energy that SCC does
 // not; crossbar cost must stay small.
 func TestEnergyShape(t *testing.T) {
-	rows, err := Energy(context.Background(), true)
+	rows, err := Energy(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestEnergyShape(t *testing.T) {
 // Width ablation shape (§7): going from SIMD8 to SIMD32, efficiency must
 // not rise and the SCC benefit must grow for every workload.
 func TestAblationWidthShape(t *testing.T) {
-	rows, err := AblationWidth(context.Background(), true)
+	rows, err := AblationWidth(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAblationWidthShape(t *testing.T) {
 // Stall attribution shape: shares sum to ~1 per workload, and lavamd (the
 // perfect-L3-immune kernel of Fig. 12) is memory-stall heavy.
 func TestStallsShape(t *testing.T) {
-	rows, err := Stalls(context.Background(), true)
+	rows, err := Stalls(context.Background(), true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,15 +45,6 @@ func Interwarp(ctx context.Context, quick bool) ([]InterwarpRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := 0
-		if quick {
-			n = quickScale(s)
-		}
-		g := gpu.New(gpu.DefaultConfig())
-		inst, err := s.Setup(g, orDefault(n, s.DefaultN))
-		if err != nil {
-			return nil, err
-		}
 		perWG := map[int][]interwarp.Stream{}
 		width := 16
 		visit := func(wg, thread int, res eu.ExecResult) {
@@ -72,14 +63,9 @@ func Interwarp(ctx context.Context, quick bool) ([]InterwarpRow, error) {
 				interwarp.Step{Mask: res.Mask, Lines: lines})
 			perWG[wg] = streams
 		}
-		for iter := 0; ; iter++ {
-			ls := inst.Next(iter)
-			if ls == nil {
-				break
-			}
-			if _, err := g.RunFunctionalCtx(ctx, *ls, visit); err != nil {
-				return nil, err
-			}
+		opts := workloads.ExecOptions{Size: sizeFor(s, quick), SkipVerify: true, Visit: visit}
+		if _, err := workloads.ExecuteCtx(ctx, gpu.New(gpu.DefaultConfig()), s, opts); err != nil {
+			return nil, err
 		}
 		agg := &interwarp.Result{}
 		for _, streams := range perWG {
@@ -106,13 +92,6 @@ func Interwarp(ctx context.Context, quick bool) ([]InterwarpRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-func orDefault(n, def int) int {
-	if n > 0 {
-		return n
-	}
-	return def
 }
 
 func runInterwarp(ctx *Context) error {

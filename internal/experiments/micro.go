@@ -3,12 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/kbuild"
-	"intrawarp/internal/par"
 	"intrawarp/internal/workloads"
 )
 
@@ -58,21 +57,6 @@ func patternKernel(pattern uint16, depth int) (*isa.Kernel, error) {
 	return b.Build()
 }
 
-// runPattern measures total cycles of the pattern kernel under a policy.
-func runPattern(ctx context.Context, pattern uint16, policy compaction.Policy, n, depth int) (total, busy int64, err error) {
-	k, err := patternKernel(pattern, depth)
-	if err != nil {
-		return 0, 0, err
-	}
-	g := gpu.New(gpu.DefaultConfig().WithPolicy(policy))
-	out := g.AllocU32(n, make([]uint32, n))
-	run, err := g.RunCtx(ctx, gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{out}})
-	if err != nil {
-		return 0, 0, err
-	}
-	return run.TotalCycles, run.EUBusy, nil
-}
-
 // Fig8Patterns are the enabled-lane patterns of paper Fig. 8.
 var Fig8Patterns = []uint16{0xFFFF, 0xF0F0, 0x00FF, 0xFF0F, 0xAAAA}
 
@@ -91,32 +75,28 @@ func Fig8(ctx context.Context, quick bool, workers int) ([]Fig8Result, error) {
 	if quick {
 		n, depth = 1024, 16
 	}
-	npol := len(compaction.Policies)
-	totals := make([]int64, len(Fig8Patterns)*npol)
-	err := par.ForErr(workers, len(totals), func(i int) error {
-		pat, p := Fig8Patterns[i/npol], compaction.Policies[i%npol]
-		total, _, err := runPattern(ctx, pat, p, n, depth)
-		totals[i] = total
-		return err
-	})
+	var cells []cell
+	for _, pat := range Fig8Patterns {
+		k, err := patternKernel(pat, depth)
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, cell{spec: kernelSpec(k), size: n, timed: true}.eachPolicy(compaction.Policies[:]...)...)
+	}
+	runs, err := runCells(ctx, workers, cells)
 	if err != nil {
 		return nil, err
 	}
-	var refs [compaction.NumPolicies]int64
-	for pi, pat := range Fig8Patterns {
-		if pat == 0xFFFF {
-			for j, p := range compaction.Policies {
-				refs[p] = totals[pi*npol+j]
-			}
-		}
+	cycles := func(pi int, p compaction.Policy) float64 {
+		return float64(runs[pi*compaction.NumPolicies+int(p)].TotalCycles)
 	}
-	out := make([]Fig8Result, 0, len(Fig8Patterns))
+	ref := slices.Index(Fig8Patterns, 0xFFFF)
+	out := make([]Fig8Result, len(Fig8Patterns))
 	for pi, pat := range Fig8Patterns {
-		res := Fig8Result{Pattern: pat}
-		for j, p := range compaction.Policies {
-			res.Relative[p] = float64(totals[pi*npol+j]) / float64(refs[p])
+		out[pi].Pattern = pat
+		for _, p := range compaction.Policies {
+			out[pi].Relative[p] = cycles(pi, p) / cycles(ref, p)
 		}
-		out = append(out, res)
 	}
 	return out, nil
 }
@@ -193,38 +173,22 @@ func Table2(ctx context.Context, quick bool, workers int) ([]Table2Row, error) {
 		n, depth = 512, 16
 	}
 	const maxLevels = 4
-	kernels := make([]*isa.Kernel, maxLevels)
+	var cells []cell
 	for levels := 1; levels <= maxLevels; levels++ {
 		k, err := nestedKernel(levels, depth)
 		if err != nil {
 			return nil, err
 		}
-		kernels[levels-1] = k
+		cells = append(cells, cell{spec: kernelSpec(k), size: n, timed: true}.eachPolicy(compaction.Policies[:]...)...)
 	}
-	npol := len(compaction.Policies)
-	busy := make([]int64, maxLevels*npol)
-	if err := par.ForErr(workers, len(busy), func(i int) error {
-		k, p := kernels[i/npol], compaction.Policies[i%npol]
-		g := gpu.New(gpu.DefaultConfig().WithPolicy(p))
-		out := g.AllocU32(n, make([]uint32, n))
-		run, err := g.RunCtx(ctx, gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{out}})
-		if err != nil {
-			return err
-		}
-		busy[i] = run.EUBusy
-		return nil
-	}); err != nil {
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
 		return nil, err
 	}
 	var rows []Table2Row
 	for levels := 1; levels <= maxLevels; levels++ {
 		at := func(p compaction.Policy) float64 {
-			for j, q := range compaction.Policies {
-				if q == p {
-					return float64(busy[(levels-1)*npol+j])
-				}
-			}
-			return 0
+			return float64(runs[(levels-1)*compaction.NumPolicies+int(p)].EUBusy)
 		}
 		base := at(compaction.Baseline)
 		rows = append(rows, Table2Row{
@@ -269,9 +233,8 @@ func AblationDtype(ctx context.Context, quick bool, workers int) ([]DtypeRow, er
 		n, depth = 512, 16
 	}
 	dtypes := []isa.DataType{isa.F16, isa.F32, isa.F64}
-	rows := make([]DtypeRow, len(dtypes))
-	err := par.ForErr(workers, len(dtypes), func(di int) error {
-		dt := dtypes[di]
+	var cells []cell
+	for _, dt := range dtypes {
 		b := kbuild.New("dtype-"+dt.String(), isa.SIMD16)
 		lane := b.Vec()
 		b.And(lane, b.GlobalID(), b.U(15))
@@ -291,24 +254,18 @@ func AblationDtype(ctx context.Context, quick bool, workers int) ([]DtypeRow, er
 		b.StoreScatter(oAddr, zero)
 		k, err := b.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var busy [2]int64
-		for i, p := range []compaction.Policy{compaction.Baseline, compaction.BCC} {
-			g := gpu.New(gpu.DefaultConfig().WithPolicy(p))
-			out := g.AllocU32(n, make([]uint32, n))
-			run, err := g.RunCtx(ctx, gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{out}})
-			if err != nil {
-				return err
-			}
-			busy[i] = run.EUBusy
-		}
-		rows[di] = DtypeRow{DType: dt,
-			BCCReduction: float64(busy[0]-busy[1]) / float64(busy[0])}
-		return nil
-	})
+		cells = append(cells, cell{spec: kernelSpec(k), size: n, timed: true}.eachPolicy(compaction.Baseline, compaction.BCC)...)
+	}
+	runs, err := runCells(ctx, workers, cells)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]DtypeRow, len(dtypes))
+	for i, dt := range dtypes {
+		base, bcc := runs[2*i].EUBusy, runs[2*i+1].EUBusy
+		rows[i] = DtypeRow{DType: dt, BCCReduction: float64(base-bcc) / float64(base)}
 	}
 	return rows, nil
 }
@@ -340,34 +297,17 @@ func AblationIssue(ctx context.Context, quick bool, workers int) (map[string]int
 	if err != nil {
 		return nil, err
 	}
-	type cell struct {
-		iw int
-		p  compaction.Policy
-	}
 	var cells []cell
 	for _, iw := range []int{1, 2} {
-		for _, p := range []compaction.Policy{compaction.Baseline, compaction.SCC} {
-			cells = append(cells, cell{iw, p})
-		}
+		cells = append(cells, cell{spec: kernelSpec(k), size: n, timed: true, issue: iw}.eachPolicy(compaction.Baseline, compaction.SCC)...)
 	}
-	totals := make([]int64, len(cells))
-	if err := par.ForErr(workers, len(cells), func(i int) error {
-		cfg := gpu.DefaultConfig().WithPolicy(cells[i].p)
-		cfg.EU.IssueWidth = cells[i].iw
-		g := gpu.New(cfg)
-		buf := g.AllocU32(n, make([]uint32, n))
-		run, err := g.RunCtx(ctx, gpu.LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: 96, Args: []uint32{buf}})
-		if err != nil {
-			return err
-		}
-		totals[i] = run.TotalCycles
-		return nil
-	}); err != nil {
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
 		return nil, err
 	}
 	out := map[string]int64{}
 	for i, c := range cells {
-		out[fmt.Sprintf("iw%d-%s", c.iw, c.p)] = totals[i]
+		out[fmt.Sprintf("iw%d-%s", c.issue, c.policy)] = runs[i].TotalCycles
 	}
 	return out, nil
 }
@@ -396,25 +336,18 @@ func AblationFrontend(ctx context.Context, quick bool, workers int) ([]FrontendR
 		n = 256
 	}
 	pens := []int{0, 2, 4, 8}
-	pols := []compaction.Policy{compaction.IvyBridge, compaction.SCC}
-	totals := make([]int64, len(pens)*len(pols))
-	if err := par.ForErr(workers, len(totals), func(i int) error {
-		pen, p := pens[i/len(pols)], pols[i%len(pols)]
-		cfg := gpu.DefaultConfig().WithPolicy(p)
-		cfg.EU.JumpPenalty = pen
-		g := gpu.New(cfg)
-		run, err := workloads.ExecuteCtx(ctx, g, w, workloads.ExecOptions{Size: n, Timed: true, SkipVerify: i != 0})
-		if err != nil {
-			return err
-		}
-		totals[i] = run.TotalCycles
-		return nil
-	}); err != nil {
+	var cells []cell
+	for _, pen := range pens {
+		cells = append(cells, cell{spec: w, size: n, timed: true, jump: pen}.eachPolicy(compaction.IvyBridge, compaction.SCC)...)
+	}
+	cells[0].verify = true
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
 		return nil, err
 	}
 	var rows []FrontendRow
 	for pi, pen := range pens {
-		base, scc := totals[pi*len(pols)], totals[pi*len(pols)+1]
+		base, scc := runs[2*pi].TotalCycles, runs[2*pi+1].TotalCycles
 		rows = append(rows, FrontendRow{Penalty: pen, BaseCycles: base, SCCCycles: scc,
 			SCCReduction: compaction.Reduction(base, scc)})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/stats"
 	"intrawarp/internal/workloads"
 )
@@ -28,34 +27,33 @@ var stallWorkloads = []string{
 // Stalls runs each workload timed under SCC and attributes its arbitration
 // windows: workloads whose EU-cycle savings fail to reach execution time
 // (bfs, lavamd in Fig. 12) show memory-dominated breakdowns, while
-// compute-bound kernels show issued-dominated ones.
-func Stalls(ctx context.Context, quick bool) ([]StallRow, error) {
-	var rows []StallRow
-	for _, name := range stallWorkloads {
+// compute-bound kernels show issued-dominated ones. The workloads fan out
+// over a worker pool of the given size (below 1 selects GOMAXPROCS).
+func Stalls(ctx context.Context, quick bool, workers int) ([]StallRow, error) {
+	cells := make([]cell, len(stallWorkloads))
+	for i, name := range stallWorkloads {
 		s, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		n := 0
-		if quick {
-			n = quickScale(s)
-		}
-		g := gpu.New(gpu.DefaultConfig().WithPolicy(compaction.SCC))
-		run, err := workloads.ExecuteCtx(ctx, g, s, workloads.ExecOptions{Size: n, Timed: true})
-		if err != nil {
-			return nil, err
-		}
-		row := StallRow{Name: name}
+		cells[i] = cell{spec: s, size: sizeFor(s, quick), timed: true, verify: true, policy: compaction.SCC}
+	}
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]StallRow, len(runs))
+	for i, run := range runs {
+		rows[i].Name = stallWorkloads[i]
 		for k := stats.StallKind(0); k < stats.NumStallKinds; k++ {
-			row.Shares[k] = run.WindowShare(k)
+			rows[i].Shares[k] = run.WindowShare(k)
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 func runStalls(ctx *Context) error {
-	rows, err := Stalls(ctx.context(), ctx.Quick)
+	rows, err := Stalls(ctx.context(), ctx.Quick, ctx.Workers)
 	if err != nil {
 		return err
 	}

@@ -3,14 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
-	"intrawarp/internal/obs"
-	"intrawarp/internal/par"
 	"intrawarp/internal/stats"
-	"intrawarp/internal/trace"
 	"intrawarp/internal/workloads"
 )
 
@@ -18,25 +13,6 @@ func init() {
 	register(&Experiment{ID: "fig11", Title: "Ray tracing: total-cycle vs EU-cycle reduction under DC1/DC2 bandwidth", Run: runFig11})
 	register(&Experiment{ID: "fig12", Title: "Rodinia: total-cycle vs EU-cycle reduction, 128KB L3 vs perfect L3", Run: runFig12})
 	register(&Experiment{ID: "table4", Title: "Summary of BCC and SCC benefits (max/avg, EU cycles and execution time)", Run: runTable4})
-}
-
-// timedRun executes one workload under one policy/memory configuration.
-// verify gates the host-side result check: sweeps verify one cell per
-// workload and skip the rest (all cells compute identical architectural
-// results, a tested invariant).
-func timedRun(ctx context.Context, s *workloads.Spec, p compaction.Policy, dcBW int, perfectL3 bool, n int, verify bool) (*stats.Run, error) {
-	cfg := gpu.DefaultConfig().WithPolicy(p)
-	cfg.Mem.DCLinesPerCycle = dcBW
-	cfg.Mem.PerfectL3 = perfectL3
-	if factory := obs.ProbesFrom(ctx); factory != nil {
-		label := fmt.Sprintf("%s/%s/dc%d", s.Name, p, dcBW)
-		if perfectL3 {
-			label += "/pl3"
-		}
-		cfg.EU.Probe = factory(label)
-	}
-	g := gpu.New(cfg)
-	return workloads.ExecuteCtx(ctx, g, s, workloads.ExecOptions{Size: n, Timed: true, SkipVerify: !verify})
 }
 
 // TimingRow captures one workload's timed comparison against the IVB
@@ -57,16 +33,6 @@ type TimingRow struct {
 	TotalPL3 [2]float64
 }
 
-// timingCell identifies one (workload, policy, machine-config) point of
-// the sweep.
-type timingCell struct {
-	wl     int // index into the workload set
-	p      compaction.Policy
-	dc     int
-	pl3    bool
-	verify bool // host-side result check; one cell per workload
-}
-
 // timingStudy runs the full policy × bandwidth sweep over a workload set.
 // Every cell constructs its own GPU, so all cells are independent; they
 // execute on a worker pool of the given size (below 1 selects GOMAXPROCS)
@@ -76,51 +42,28 @@ type timingCell struct {
 // remaining cells are policy/bandwidth re-runs of the same computation.
 func timingStudy(ctx context.Context, set []*workloads.Spec, quick, withPL3 bool, workers int) ([]TimingRow, error) {
 	pols := []compaction.Policy{compaction.IvyBridge, compaction.BCC, compaction.SCC}
-	var cells []timingCell
-	for wl := range set {
+	var cells []cell
+	for _, s := range set {
 		first := true
 		for _, p := range pols {
 			for _, dc := range []int{1, 2} {
-				cells = append(cells, timingCell{wl: wl, p: p, dc: dc, verify: first})
+				cells = append(cells, cell{spec: s, size: sizeFor(s, quick), timed: true, verify: first, policy: p, dc: dc})
 				first = false
 			}
 			if withPL3 {
-				cells = append(cells, timingCell{wl: wl, p: p, dc: 1, pl3: true})
+				cells = append(cells, cell{spec: s, size: sizeFor(s, quick), timed: true, policy: p, dc: 1, pl3: true})
 			}
 		}
 	}
-
-	results := make([]*stats.Run, len(cells))
-	err := par.ForErr(workers, len(cells), func(i int) error {
-		c := cells[i]
-		s := set[c.wl]
-		n := 0
-		if quick {
-			n = quickScale(s)
-		}
-		r, err := timedRun(ctx, s, c.p, c.dc, c.pl3, n, c.verify)
-		if err != nil {
-			return fmt.Errorf("%s/%s/dc%d/pl3=%v: %w", s.Name, c.p, c.dc, c.pl3, err)
-		}
-		results[i] = r
-		return nil
-	})
+	results, err := runCells(ctx, workers, cells)
 	if err != nil {
 		return nil, err
 	}
 
-	type key struct {
-		p   compaction.Policy
-		dc  int
-		pl3 bool
-	}
-	rows := make([]TimingRow, len(set))
-	perWL := make([]map[key]*stats.Run, len(set))
-	for i := range perWL {
-		perWL[i] = map[key]*stats.Run{}
-	}
+	runs := make(map[cell]*stats.Run, len(cells))
 	for i, c := range cells {
-		perWL[c.wl][key{c.p, c.dc, c.pl3}] = results[i]
+		c.verify = false // keyed by the simulated point alone
+		runs[c] = results[i]
 	}
 	red := func(ref, with *stats.Run, eu bool) float64 {
 		if eu {
@@ -128,19 +71,22 @@ func timingStudy(ctx context.Context, set []*workloads.Spec, quick, withPL3 bool
 		}
 		return compaction.Reduction(ref.TotalCycles, with.TotalCycles)
 	}
+	rows := make([]TimingRow, len(set))
 	for wl, s := range set {
-		runs := perWL[wl]
+		at := func(p compaction.Policy, dc int, pl3 bool) *stats.Run {
+			return runs[cell{spec: s, size: sizeFor(s, quick), timed: true, policy: p, dc: dc, pl3: pl3}]
+		}
 		row := TimingRow{Name: s.Name}
 		for i, p := range []compaction.Policy{compaction.BCC, compaction.SCC} {
-			row.TotalDC1[i] = red(runs[key{compaction.IvyBridge, 1, false}], runs[key{p, 1, false}], false)
-			row.TotalDC2[i] = red(runs[key{compaction.IvyBridge, 2, false}], runs[key{p, 2, false}], false)
-			row.EU[i] = red(runs[key{compaction.IvyBridge, 2, false}], runs[key{p, 2, false}], true)
+			row.TotalDC1[i] = red(at(compaction.IvyBridge, 1, false), at(p, 1, false), false)
+			row.TotalDC2[i] = red(at(compaction.IvyBridge, 2, false), at(p, 2, false), false)
+			row.EU[i] = red(at(compaction.IvyBridge, 2, false), at(p, 2, false), true)
 			if withPL3 {
-				row.TotalPL3[i] = red(runs[key{compaction.IvyBridge, 1, true}], runs[key{p, 1, true}], false)
+				row.TotalPL3[i] = red(at(compaction.IvyBridge, 1, true), at(p, 1, true), false)
 			}
 		}
 		for i, p := range pols {
-			row.DCDemand[i] = runs[key{p, 2, false}].DCDemand()
+			row.DCDemand[i] = at(p, 2, false).DCDemand()
 		}
 		rows[wl] = row
 	}
@@ -271,18 +217,4 @@ func runTable4(ctx *Context) error {
 	t.render(ctx.Out)
 	ctx.printf("paper: sim EU 36/18 38/24 | traces 31/12 42/18 | DC1 21/5 21/7 | DC2 28/12 36/18 (max/avg %%)\n")
 	return nil
-}
-
-// tracesByPrefix is a small helper for filtered trace summaries, used by
-// the CLI.
-func tracesByPrefix(prefix string) []trace.BenefitSummary {
-	var out []trace.BenefitSummary
-	for _, p := range trace.SynthAll() {
-		if prefix != "" && !strings.HasPrefix(p.Name, prefix) {
-			continue
-		}
-		run := trace.Analyze(p.Name, &trace.SliceSource{Records: p.Generate()})
-		out = append(out, trace.Summarize(run))
-	}
-	return out
 }

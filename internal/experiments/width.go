@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/workloads"
 )
@@ -30,41 +29,45 @@ var widthWorkloads = []string{"bsearch", "urng", "kmeans", "particlefilter"}
 // AblationWidth compiles each workload at SIMD8/16/32 and measures
 // efficiency and compaction benefit, reproducing the paper's conclusion
 // that wider warp widths (NVIDIA's 32, AMD's 64) lose more efficiency to
-// divergence and leave more for intra-warp compaction to harvest.
-func AblationWidth(ctx context.Context, quick bool) ([]WidthRow, error) {
-	var rows []WidthRow
+// divergence and leave more for intra-warp compaction to harvest. The
+// workload × width cells fan out over a worker pool of the given size
+// (below 1 selects GOMAXPROCS).
+func AblationWidth(ctx context.Context, quick bool, workers int) ([]WidthRow, error) {
+	widths := []isa.Width{isa.SIMD8, isa.SIMD16, isa.SIMD32}
+	var cells []cell
 	for _, name := range widthWorkloads {
 		base, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		n := 0
-		if quick {
-			n = quickScale(base)
-		}
-		for _, w := range []isa.Width{isa.SIMD8, isa.SIMD16, isa.SIMD32} {
+		for _, w := range widths {
 			s, err := workloads.AtWidth(name, w)
 			if err != nil {
 				return nil, err
 			}
-			g := gpu.New(gpu.DefaultConfig())
-			run, err := workloads.ExecuteCtx(ctx, g, s, workloads.ExecOptions{Size: n})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", s.Name, err)
-			}
-			rows = append(rows, WidthRow{
-				Name: name, Width: w.Lanes(),
-				Efficiency: run.SIMDEfficiency(),
-				BCC:        run.EUCycleReduction(compaction.BCC),
-				SCC:        run.EUCycleReduction(compaction.SCC),
-			})
+			// A width variant has no quick size of its own; it runs at
+			// the base workload's.
+			cells = append(cells, cell{spec: s, size: sizeFor(base, quick), verify: true})
+		}
+	}
+	runs, err := runCells(ctx, workers, cells)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]WidthRow, len(runs))
+	for i, run := range runs {
+		rows[i] = WidthRow{
+			Name: widthWorkloads[i/len(widths)], Width: widths[i%len(widths)].Lanes(),
+			Efficiency: run.SIMDEfficiency(),
+			BCC:        run.EUCycleReduction(compaction.BCC),
+			SCC:        run.EUCycleReduction(compaction.SCC),
 		}
 	}
 	return rows, nil
 }
 
 func runAblationWidth(ctx *Context) error {
-	rows, err := AblationWidth(ctx.context(), ctx.Quick)
+	rows, err := AblationWidth(ctx.context(), ctx.Quick, ctx.Workers)
 	if err != nil {
 		return err
 	}

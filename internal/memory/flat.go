@@ -33,8 +33,8 @@ func LineAddr(addr uint32) uint32 { return addr &^ (LineBytes - 1) }
 // word access is then a sync/atomic operation on that word, which makes
 // overlapping writes (idempotent flags) and cross-workgroup atomics
 // well-defined with no lock. Atomicity is per aligned word: an unaligned
-// 32-bit access, or a byte range, touches each word it spans atomically
-// but not all of them at once, so an unaligned AtomicAdd or AtomicMin is
+// 32-bit access touches each of the two words it spans atomically but
+// not both at once, so an unaligned AtomicAdd or AtomicMin is
 // indivisible only in single-owner mode. The words are plain uint32s
 // rather than atomic.Uint32s so that single-owner mode, where nothing
 // runs concurrently, stores without a locked instruction. Alloc remains
@@ -213,37 +213,6 @@ func (f *Flat) writeUnaligned(addr uint32, v uint32) {
 	i, s := int(addr>>2), 8*(addr&3)
 	f.merge(i, v<<s, ^uint32(0)<<s)
 	f.merge(i+1, v>>(32-s), ^uint32(0)>>(32-s))
-}
-
-// WriteBytes copies src to memory at addr.
-func (f *Flat) WriteBytes(addr uint32, src []byte) {
-	f.check(addr, len(src))
-	for len(src) > 0 {
-		i, s := int(addr>>2), 8*(addr&3)
-		if s == 0 && len(src) >= 4 {
-			f.store(i, binary.LittleEndian.Uint32(src))
-			addr, src = addr+4, src[4:]
-			continue
-		}
-		f.merge(i, uint32(src[0])<<s, 0xFF<<s)
-		addr, src = addr+1, src[1:]
-	}
-}
-
-// ReadBytes copies memory at addr into dst.
-func (f *Flat) ReadBytes(addr uint32, dst []byte) {
-	f.check(addr, len(dst))
-	for len(dst) > 0 {
-		i, s := int(addr>>2), 8*(addr&3)
-		w := f.load(i)
-		if s == 0 && len(dst) >= 4 {
-			binary.LittleEndian.PutUint32(dst, w)
-			addr, dst = addr+4, dst[4:]
-			continue
-		}
-		dst[0] = byte(w >> s)
-		addr, dst = addr+1, dst[1:]
-	}
 }
 
 // SLM is the shared local memory of one workgroup: a small, fast,

@@ -90,7 +90,6 @@ func TestFlatBoundsAtHighWaterMark(t *testing.T) {
 			}
 			f.SetShared(shared)
 			f.WriteU32(end-4, 7)
-			f.WriteBytes(buf, make([]byte, size))
 			for _, tc := range []struct {
 				name string
 				op   func()
@@ -99,8 +98,6 @@ func TestFlatBoundsAtHighWaterMark(t *testing.T) {
 				{"WriteU32", func() { f.WriteU32(end-3, 1) }},
 				{"AtomicAdd", func() { f.AtomicAdd(end-3, 1) }},
 				{"AtomicMin", func() { f.AtomicMin(end-3, 1) }},
-				{"ReadBytes", func() { f.ReadBytes(buf, make([]byte, size+1)) }},
-				{"WriteBytes", func() { f.WriteBytes(buf, make([]byte, size+1)) }},
 			} {
 				func() {
 					defer func() {
@@ -137,15 +134,13 @@ func TestFlatAtomics(t *testing.T) {
 }
 
 // TestFlatSharedAccessZeroAlloc checks that shared mode allocates
-// nothing: every word access and atomic, aligned and unaligned, and
-// byte ranges spanning several lines.
+// nothing: every word access and atomic, aligned and unaligned.
 func TestFlatSharedAccessZeroAlloc(t *testing.T) {
 	f := NewFlat(64)
 	f.Alloc(16 * LineBytes)
 	f.SetShared(true)
 	defer f.SetShared(false)
 
-	buf := make([]byte, 3*LineBytes+3)
 	var sink uint32
 	for _, addr := range []uint32{5 * LineBytes, 5*LineBytes + 3} {
 		for _, tc := range []struct {
@@ -156,8 +151,6 @@ func TestFlatSharedAccessZeroAlloc(t *testing.T) {
 			{"WriteU32", func() { f.WriteU32(addr, sink) }},
 			{"AtomicAdd", func() { sink += f.AtomicAdd(addr, 1) }},
 			{"AtomicMin", func() { sink += f.AtomicMin(addr, 7) }},
-			{"WriteBytes", func() { f.WriteBytes(addr, buf) }},
-			{"ReadBytes", func() { f.ReadBytes(addr, buf) }},
 		} {
 			if allocs := testing.AllocsPerRun(100, tc.op); allocs != 0 {
 				t.Errorf("shared-mode %s at %#x allocates %.1f times per call, want 0", tc.name, addr, allocs)
@@ -171,12 +164,13 @@ func TestFlatSharedAccessZeroAlloc(t *testing.T) {
 // exactly 2n and the previous values returned are exactly 0..2n-1, so no
 // add was lost or seen twice. Concurrent AtomicMin calls leave the
 // minimum of every operand. Two goroutines storing one value to one word
-// (bfs's continue flag) and each writing its own byte of shared words
-// leave every write in place, with no data race under -race.
+// (bfs's continue flag) and making unaligned stores to disjoint bytes of
+// shared words leave every write in place, with no data race under
+// -race.
 func TestFlatSharedAtomicsConcurrent(t *testing.T) {
-	const n = 20000
+	const n, slots = 20000, 16
 	f := NewFlat(pageBytes)
-	base := f.Alloc(2 * LineBytes)
+	base := f.Alloc(4 * LineBytes)
 	add, least, flag := base, base+4, base+8
 	bytesAt := base + LineBytes
 	f.WriteU32(least, ^uint32(0))
@@ -193,7 +187,9 @@ func TestFlatSharedAtomicsConcurrent(t *testing.T) {
 				olds[g] = append(olds[g], f.AtomicAdd(add, 1))
 				f.AtomicMin(least, 1000+uint32(rng.Intn(1<<20)))
 				f.WriteU32(flag, 1)
-				f.WriteBytes(bytesAt+uint32(i%16)*4+uint32(g), []byte{byte(g + 1)})
+				// Goroutine g stores g+1 to the four bytes at 8k+1+4g:
+				// every inner word holds bytes of both goroutines.
+				f.WriteU32(bytesAt+8*uint32(i%slots)+1+4*uint32(g), 0x01010101*uint32(g+1))
 			}
 		}()
 	}
@@ -223,9 +219,15 @@ func TestFlatSharedAtomicsConcurrent(t *testing.T) {
 	if got := f.ReadU32(flag); got != 1 {
 		t.Fatalf("flag = %d after concurrent stores of 1", got)
 	}
-	for w := uint32(0); w < 16; w++ {
-		if got := f.ReadU32(bytesAt + 4*w); got != 0x0201 {
-			t.Fatalf("word %d = %#x after each goroutine wrote its own byte, want 0x0201", w, got)
+	bytesWant := make(byteRef, 8*slots+8)
+	for k := 0; k < slots; k++ {
+		for j := 0; j < 4; j++ {
+			bytesWant[8*k+1+j], bytesWant[8*k+5+j] = 1, 2
+		}
+	}
+	for a := uint32(0); a < uint32(len(bytesWant)); a += 4 {
+		if got, want := f.ReadU32(bytesAt+a), bytesWant.read(a); got != want {
+			t.Fatalf("word at +%d = %#x after unaligned stores to disjoint bytes, want %#x", a, got, want)
 		}
 	}
 }
@@ -248,7 +250,9 @@ func TestFlatUnalignedMatchesBytes(t *testing.T) {
 			base := f.Alloc(4 * LineBytes)
 			ref := make(byteRef, f.Size())
 			rng.Read(ref[base:])
-			f.WriteBytes(base, ref[base:])
+			for a := base; a < uint32(len(ref)); a += 4 {
+				f.WriteU32(a, ref.read(a))
+			}
 			f.SetShared(shared)
 			where := func(op string, addr uint32) string {
 				return fmt.Sprintf("shared=%v offset %d: %s at %#x", shared, off, op, addr)
@@ -256,7 +260,7 @@ func TestFlatUnalignedMatchesBytes(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				addr := base + 4*uint32(rng.Intn(4*LineBytes/4-2)) + off
 				v := rng.Uint32()
-				switch i % 6 {
+				switch i % 4 {
 				case 0:
 					if got, want := f.ReadU32(addr), ref.read(addr); got != want {
 						t.Fatalf("%s = %#x, reference %#x", where("ReadU32", addr), got, want)
@@ -276,24 +280,13 @@ func TestFlatUnalignedMatchesBytes(t *testing.T) {
 					if got := f.AtomicMin(addr, v); got != old {
 						t.Fatalf("%s returned %#x, reference %#x", where("AtomicMin", addr), got, old)
 					}
-				case 4:
-					src := make([]byte, rng.Intn(11))
-					rng.Read(src)
-					f.WriteBytes(addr, src)
-					copy(ref[addr:], src)
-				case 5:
-					dst := make([]byte, rng.Intn(11))
-					f.ReadBytes(addr, dst)
-					if want := ref[addr : addr+uint32(len(dst))]; !bytes.Equal(dst, want) {
-						t.Fatalf("%s = %x, reference %x", where("ReadBytes", addr), dst, want)
-					}
 				}
 			}
 			f.SetShared(false)
-			got := make([]byte, f.Size()-int(base))
-			f.ReadBytes(base, got)
-			if !bytes.Equal(got, ref[base:]) {
-				t.Fatalf("shared=%v offset %d: store differs from the byte-wise reference", shared, off)
+			for a := base; a < uint32(len(ref)); a += 4 {
+				if got, want := f.ReadU32(a), ref.read(a); got != want {
+					t.Fatalf("shared=%v offset %d: word at %#x = %#x, byte-wise reference %#x", shared, off, a, got, want)
+				}
 			}
 		}
 	}

@@ -10,9 +10,8 @@ import (
 // replays each group's capture once, to check it against the capturing
 // run; policy cells are built from that run and need no replay. A
 // non-nil probe receives one LaunchBegin (engine "trace-replay", the
-// given policy label and width) and LaunchEnd around the replay; unlike
-// AnalyzeObserved it emits no per-record events, so a timeline shows the
-// replay as one span.
+// given policy label and width) and LaunchEnd around the replay, so a
+// timeline shows the replay as one span.
 func ReplayObserved(name, policy string, width int, recs []Record, probe obs.Probe) *stats.Run {
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{Engine: "trace-replay", Kernel: name, Policy: policy, Width: width})

@@ -14,7 +14,6 @@ import (
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/mask"
-	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
 )
 
@@ -192,16 +191,7 @@ func (s *SliceSource) Next() (Record, bool) {
 // each distinct one is costed once (stats.Run.Flush), in memory bounded
 // however long the stream is.
 func Analyze(name string, src Source) *stats.Run {
-	return AnalyzeObserved(name, src, nil)
-}
-
-// AnalyzeObserved is Analyze with instrumentation: a non-nil probe
-// receives one obs.IssueEvent per replayed record (the trace-replay
-// engine has no clock, so record indices stand in for cycles), bracketed
-// by LaunchBegin/LaunchEnd.
-func AnalyzeObserved(name string, src Source, probe obs.Probe) *stats.Run {
 	run := stats.NewRun(name, 0)
-	var idx int64
 	for {
 		rec, ok := src.Next()
 		if !ok {
@@ -215,20 +205,7 @@ func AnalyzeObserved(name string, src Source, probe obs.Probe) *stats.Run {
 		if run.Width < w {
 			run.Width = w
 		}
-		if probe != nil {
-			if idx == 0 {
-				probe.LaunchBegin(obs.LaunchEvent{Engine: "trace-replay", Kernel: name, Width: w})
-			}
-			probe.InstrIssued(obs.IssueEvent{
-				Cycle: idx, Start: idx, Cycles: 1, Op: "replay", Pipe: rec.Pipe,
-				Active: rec.Mask.Trunc(w).PopCount(), Width: w,
-			})
-			idx++
-		}
 		run.RecordInstr(w, g, rec.Mask)
-	}
-	if probe != nil && idx > 0 {
-		probe.LaunchEnd(idx)
 	}
 	run.Flush()
 	return run
