@@ -79,7 +79,6 @@ verify:
 # its checked-in corpus.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSCCSchedule -fuzztime $(FUZZTIME) ./internal/gpu/
-	$(GO) test -run '^$$' -fuzz FuzzCalendar -fuzztime $(FUZZTIME) ./internal/gpu/
 	$(GO) test -run '^$$' -fuzz FuzzMetamorphicCycles -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzKernelGen -fuzztime $(FUZZTIME) ./internal/kgen/
 	$(GO) test -run '^$$' -fuzz FuzzLaneLoop -fuzztime $(FUZZTIME) ./internal/eu/
@@ -135,6 +134,8 @@ sweep-smoke:
 # bench runs every benchmark with allocation reporting, and no unit test
 # (-run '^$'), and converts the output into $(BENCHOUT) (ns/op, B/op,
 # allocs/op per benchmark) for the bench-trajectory artifact uploaded by
-# CI's bench-smoke job.
+# CI's bench-smoke job. The checked-in BENCH_timed.json is the median of
+# five samples per benchmark, from the same go test command with
+# -benchtime 10x -count 5 piped into cmd/benchjson.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCHOUT)

@@ -158,7 +158,7 @@ func BenchmarkTimedSIMD16DivergentTick(b *testing.B) {
 
 // BenchmarkTimedMemoryBound measures the event core on a BFS frontier
 // expansion whose gather/scatter traffic parks threads on DRAM for
-// hundreds of cycles at a time — the workload shape the event calendar
+// hundreds of cycles at a time — the workload shape the event core
 // exists for. Compare against BenchmarkTimedMemoryBoundTick for the
 // skip-to-next-wakeup speedup (≥3x).
 func BenchmarkTimedMemoryBound(b *testing.B) {

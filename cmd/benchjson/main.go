@@ -4,13 +4,16 @@
 // bench`), and writes one JSON document with a record per benchmark:
 // name, iterations, ns/op, B/op, and allocs/op (the latter two require
 // -benchmem or b.ReportAllocs), plus any metric a benchmark reports with
-// b.ReportMetric, keyed by its unit. Names drop the -N GOMAXPROCS suffix, so
-// files written on machines with different CPU counts share row names;
-// the header records GOMAXPROCS and the Go version once instead.
+// b.ReportMetric, keyed by its unit. A benchmark printed several times
+// (go test -count N) becomes one record holding the median of each
+// column and the number of samples. Names drop the -N GOMAXPROCS
+// suffix, so files written on machines with different CPU counts share
+// row names; the header records GOMAXPROCS and the Go version once
+// instead.
 //
 // Usage:
 //
-//	go test -bench . -benchmem ./... | benchjson -o BENCH_timed.json
+//	go test -run '^$' -bench . -benchmem -benchtime 10x -count 5 ./... | benchjson -o BENCH_timed.json
 package main
 
 import (
@@ -18,13 +21,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Result is one parsed benchmark line.
+// Result is one benchmark: a parsed line, or the medians of a
+// benchmark's samples.
 type Result struct {
 	Name     string  `json:"name"`
 	Package  string  `json:"package,omitempty"`
@@ -34,6 +40,64 @@ type Result struct {
 	AllocsOp int64   `json:"allocs_per_op"`
 	// Metrics holds the b.ReportMetric values by unit ("ns/lane").
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Samples is how many lines of the benchmark the record folds.
+	Samples int `json:"samples"`
+}
+
+// median returns the median of xs: the middle value, or the mean of the
+// two middle values of an even count. It sorts xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// fold merges the samples of each benchmark, named by package and name,
+// into one record of per-column medians, in order of first appearance.
+// A metric's median is over the samples that report it.
+func fold(samples []Result) []Result {
+	type key struct{ pkg, name string }
+	groups := map[key][]Result{}
+	var order []key
+	for _, r := range samples {
+		k := key{r.Package, r.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, k := range order {
+		var iters, ns, bytes, allocs []float64
+		units := map[string][]float64{}
+		for _, s := range groups[k] {
+			iters = append(iters, float64(s.Iters))
+			ns = append(ns, s.NsPerOp)
+			bytes = append(bytes, float64(s.BPerOp))
+			allocs = append(allocs, float64(s.AllocsOp))
+			for u, v := range s.Metrics {
+				units[u] = append(units[u], v)
+			}
+		}
+		r := Result{
+			Name: k.name, Package: k.pkg, Samples: len(ns),
+			Iters:    int64(math.Round(median(iters))),
+			NsPerOp:  median(ns),
+			BPerOp:   int64(math.Round(median(bytes))),
+			AllocsOp: int64(math.Round(median(allocs))),
+		}
+		for u, xs := range units {
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[u] = median(xs)
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // EngineRatio pairs an event-core benchmark with its tick-core twin
@@ -177,6 +241,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	rep.Results = fold(rep.Results)
 	rep.Ratios = engineRatios(rep.Results)
 	for _, r := range rep.Ratios {
 		fmt.Fprintf(os.Stderr, "benchjson: %s tick/event = %.2fx (event %.0f ns/op, tick %.0f ns/op)\n",

@@ -40,3 +40,45 @@ func TestParseLineKeepsReportedMetrics(t *testing.T) {
 		t.Fatalf("a line with no reported metric parsed metrics %v", r.Metrics)
 	}
 }
+
+// TestFoldTakesMedians checks that a benchmark printed several times, as
+// go test -count prints it, becomes one record of per-column medians
+// with its sample count, in order of first appearance, and that one
+// printed once keeps its values with a count of 1.
+func TestFoldTakesMedians(t *testing.T) {
+	var samples []Result
+	for _, line := range []string{
+		"BenchmarkFig3-2  10  90 ns/op  700 B/op  7 allocs/op  3 ns/lane",
+		"BenchmarkTable3-2  10  5 ns/op  1 B/op  1 allocs/op",
+		"BenchmarkFig3-2  10  40 ns/op  500 B/op  5 allocs/op  1 ns/lane",
+		"BenchmarkFig3-2  10  60 ns/op  600 B/op  9 allocs/op  2 ns/lane",
+	} {
+		r, _, ok := parseLine(line, "intrawarp")
+		if !ok {
+			t.Fatalf("parseLine(%q) failed", line)
+		}
+		samples = append(samples, r)
+	}
+	r, _, _ := parseLine("BenchmarkFig3-2  10  1 ns/op", "intrawarp/other")
+	samples = append(samples, r)
+
+	got := fold(samples)
+	if len(got) != 3 {
+		t.Fatalf("fold gave %d records, want 3: %+v", len(got), got)
+	}
+	fig3 := got[0]
+	if fig3.Name != "BenchmarkFig3" || fig3.Package != "intrawarp" || fig3.Samples != 3 ||
+		fig3.NsPerOp != 60 || fig3.BPerOp != 600 || fig3.AllocsOp != 7 || fig3.Iters != 10 ||
+		fig3.Metrics["ns/lane"] != 2 {
+		t.Errorf("folded Fig3 %+v, want medians 60 ns/op, 600 B/op, 7 allocs/op, 2 ns/lane over 3 samples", fig3)
+	}
+	if t3 := got[1]; t3.Name != "BenchmarkTable3" || t3.Samples != 1 || t3.NsPerOp != 5 || t3.Metrics != nil {
+		t.Errorf("single sample folded to %+v", t3)
+	}
+	if other := got[2]; other.Package != "intrawarp/other" || other.Samples != 1 || other.NsPerOp != 1 {
+		t.Errorf("a same-named benchmark of another package folded to %+v", other)
+	}
+	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Errorf("median of an even count = %v, want 2.5", m)
+	}
+}

@@ -53,6 +53,7 @@ func TestTimedExecutionZeroAlloc(t *testing.T) {
 			th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
 			th.Stats = run
 		}
+		e.MarkDirty()
 		var cycle int64
 		for {
 			sys.Tick(cycle)
@@ -90,6 +91,7 @@ func BenchmarkEUExecute(b *testing.B) {
 			th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
 			th.Stats = run
 		}
+		e.MarkDirty()
 		for {
 			sys.Tick(cycle)
 			e.Tick(cycle)

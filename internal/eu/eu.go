@@ -1,6 +1,9 @@
 package eu
 
 import (
+	"fmt"
+	"math/bits"
+
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/mask"
@@ -75,6 +78,30 @@ type EU struct {
 	nextArb int
 	Busy    int64 // execution-pipe occupancy cycles (the paper's "EU cycles")
 
+	// arb is the arbitration period (IssueInterval, at least 1), and
+	// arbMask is arb-1 when arb is a power of two, else -1: alignArb
+	// then rounds with a mask instead of a division.
+	arb, arbMask int64
+
+	// ready holds one bit per ThreadReady thread, so arbitration and
+	// NextWakeup visit only threads that can issue. issue clears a
+	// thread's bit when it parks or halts; threads made ready outside
+	// the EU (dispatch, barrier release) set rescan through MarkDirty,
+	// and the next arbitration window rebuilds the mask from the thread
+	// states.
+	ready  uint64
+	rescan bool
+
+	// last is the last cycle the EU has accounted, by a tick or by
+	// SkipWindows: Tick catches up the windows between it and the ticked
+	// cycle, so a caller may leave an EU that is not due untouched for
+	// any number of cycles.
+	last int64
+
+	// signals collects what changed here that the GPU's dispatch and
+	// barrier passes read (see TakeSignals).
+	signals Signal
+
 	// compFree recycles SEND completion records so the global-memory path
 	// allocates no closure per request.
 	compFree []*sendComp
@@ -96,18 +123,31 @@ type EU struct {
 
 	// wakeCache memoizes the last NextWakeup result while needEval is
 	// false: with no state change the threshold scan is a pure function
-	// of EU state, so the cached value stays valid until it expires
-	// (cache ≤ now) or any needEval-setting event clears it. This makes
-	// re-arming the calendar O(1) per parked EU per landing.
+	// of EU state, so the cached value stays valid until it expires (at
+	// or before the last window) or any needEval-setting event clears
+	// it. This makes the GPU's due check and clock advance O(1) per
+	// parked EU per landing.
 	wakeCache int64
 
 	// probe mirrors Cfg.Probe; nil disables instrumentation.
 	probe obs.Probe
 }
 
-// New creates an EU with idle threads attached to the given memory system.
+// MaxThreads is the most hardware threads an EU holds: one bit each of
+// the ready mask.
+const MaxThreads = 64
+
+// New creates an EU with idle threads attached to the given memory
+// system. It panics when cfg asks for more than MaxThreads threads.
 func New(id int, cfg Config, mem *memory.System) *EU {
-	e := &EU{ID: id, Cfg: cfg, mem: mem, wbMin: noWB, needEval: true, probe: cfg.Probe}
+	if cfg.ThreadsPerEU > MaxThreads {
+		panic(fmt.Sprintf("eu: %d threads per EU, at most %d", cfg.ThreadsPerEU, MaxThreads))
+	}
+	e := &EU{ID: id, Cfg: cfg, mem: mem, wbMin: noWB, needEval: true, rescan: true, last: -1, probe: cfg.Probe}
+	e.arb, e.arbMask = max(int64(cfg.IssueInterval), 1), -1
+	if e.arb&(e.arb-1) == 0 {
+		e.arbMask = e.arb - 1
+	}
 	e.Threads = make([]*Thread, cfg.ThreadsPerEU)
 	e.sb = make([][]span, cfg.ThreadsPerEU)
 	e.flagBusy = make([][2]int, cfg.ThreadsPerEU)
@@ -141,28 +181,38 @@ func (e *EU) depsClear(ti int, d *decoded) bool {
 	return !(d.flags&1 != 0 && fb[0] > 0 || d.flags&2 != 0 && fb[1] > 0)
 }
 
-// Tick advances the EU by one cycle: writebacks first, then (on
-// arbitration cycles) issue of up to IssueWidth instructions from distinct
+// Tick advances the EU to cycle now: it accounts the arbitration windows
+// skipped since the last accounted cycle, fires due writebacks, then (on
+// arbitration cycles) issues up to IssueWidth instructions from distinct
 // ready threads.
 func (e *EU) Tick(now int64) {
+	if now > e.last+1 {
+		e.SkipWindows(now)
+	}
+	e.last = now
 	e.fireWritebacks(now)
 
-	if e.Cfg.IssueInterval > 1 && now%int64(e.Cfg.IssueInterval) != 0 {
+	if e.alignArb(now) != now {
 		return
+	}
+	if e.rescan {
+		e.scanReady()
 	}
 	n := len(e.Threads)
 	issued := 0
 	sawFrontend, sawMemory, sawScoreboard, sawPipe := false, false, false, false
-	for i := 0; i < n && issued < e.Cfg.IssueWidth; i++ {
-		// Rotating priority: each pass starts one thread further on.
-		ti := e.nextArb + i
+	// Rotating priority: each pass starts one thread further on. Rotating
+	// the ready mask right by nextArb puts that thread at bit 0, so the
+	// ready threads come out in the same order a scan of every slot
+	// would visit them.
+	r := uint(e.nextArb)
+	rot := (e.ready>>r | e.ready<<(uint(n)-r)) & (1<<uint(n) - 1)
+	for ; rot != 0 && issued < e.Cfg.IssueWidth; rot &= rot - 1 {
+		ti := e.nextArb + bits.TrailingZeros64(rot)
 		if ti >= n {
 			ti -= n
 		}
 		th := e.Threads[ti]
-		if th.State != ThreadReady {
-			continue
-		}
 		if e.readyAt[ti] > now {
 			sawFrontend = true
 			continue
@@ -215,7 +265,9 @@ func (e *EU) Tick(now int64) {
 	if e.probe != nil {
 		e.probe.Window(e.ID, now, kind)
 	}
-	e.nextArb = (e.nextArb + 1) % n
+	if e.nextArb++; e.nextArb == n {
+		e.nextArb = 0
+	}
 	// An issued window mutates scoreboards, pipes and thread states, so
 	// the next window needs an exact evaluation. A no-issue window scans
 	// every ready thread without side effects: its outcome repeats until
@@ -236,7 +288,12 @@ func (e *EU) issue(ti int, now int64) {
 	in := d.in
 	ipBefore := th.IP
 	res := th.Step(e.mem.Mem)
-	if e.Cfg.JumpPenalty > 0 && th.State == ThreadReady && th.IP != ipBefore+1 {
+	if th.State != ThreadReady {
+		// Parked at a barrier or halted: only the GPU can change the
+		// thread's workgroup state now.
+		e.ready &^= 1 << uint(ti)
+		e.signals |= SignalParked
+	} else if e.Cfg.JumpPenalty > 0 && th.IP != ipBefore+1 {
 		// Non-sequential fetch: the thread's instruction queue refills.
 		e.readyAt[ti] = now + int64(e.Cfg.JumpPenalty)
 	}
@@ -467,6 +524,9 @@ func (c *sendComp) LinesReady(ready int64) {
 		c.e.clearSpan(c.ti, c.dst)
 	}
 	c.e.outstanding[c.ti]--
+	if c.e.outstanding[c.ti] == 0 && c.e.Threads[c.ti].State == ThreadIdle {
+		c.e.signals |= SignalSlotFreed
+	}
 	c.e.needEval = true
 	c.e.wakeCache = 0
 	c.hasDst = false
@@ -552,26 +612,71 @@ func (e *EU) fireWritebacks(now int64) {
 // previous launch would otherwise stall the new one, and the busy/stall
 // counters must cover exactly one launch — multi-launch workloads merge
 // per-launch runs, which double-counts anything cumulative. (Caught by
-// the differential verification harness; see DESIGN.md §10.)
+// the differential verification harness; see DESIGN.md §10.) It also
+// drops what a launch aborted mid-run leaves behind: scoreboard
+// reservations, flag writers, scheduled writebacks and outstanding
+// memory requests. A completed launch leaves all of these empty.
 func (e *EU) BeginLaunch() {
 	e.Busy = 0
 	e.Windows = [stats.NumStallKinds]int64{}
 	e.pipeFree = [2]int64{}
 	e.sendFree = 0
-	for i := range e.readyAt {
+	for i := range e.Threads {
 		e.readyAt[i] = 0
+		e.sb[i] = e.sb[i][:0]
+		e.flagBusy[i] = [2]int{}
+		e.outstanding[i] = 0
 	}
+	e.wb = e.wb[:0]
+	e.wbMin = noWB
 	e.needEval = true
 	e.wakeCache = 0
 	e.lastKind = stats.WinIdle
+	e.rescan = true
+	e.last = -1
+	e.signals = 0
 }
 
 // MarkDirty tells the EU that external code (the GPU's dispatch or
-// barrier-release passes) mutated thread state it cannot observe, so the
-// next arbitration window must be evaluated exactly.
+// barrier-release passes, or a test installing threads) mutated thread
+// state it cannot observe: the next arbitration window is evaluated
+// exactly, and first rebuilds the ready mask from the thread states.
 func (e *EU) MarkDirty() {
 	e.needEval = true
 	e.wakeCache = 0
+	e.rescan = true
+}
+
+// scanReady rebuilds the ready mask from the thread states.
+func (e *EU) scanReady() {
+	e.ready = 0
+	for i, th := range e.Threads {
+		if th.State == ThreadReady {
+			e.ready |= 1 << uint(i)
+		}
+	}
+	e.rescan = false
+}
+
+// Signal is a set of changes an EU reports to the GPU, whose dispatch
+// and barrier passes rescan only after one (see TakeSignals).
+type Signal uint8
+
+const (
+	// SignalParked: a thread parked at a barrier or halted, so its
+	// workgroup may now release its barrier or retire.
+	SignalParked Signal = 1 << iota
+	// SignalSlotFreed: a memory completion left an idle thread slot with
+	// nothing outstanding, so a workgroup may now fit on the EU.
+	SignalSlotFreed
+)
+
+// TakeSignals returns the signals raised since the last call and clears
+// them.
+func (e *EU) TakeSignals() Signal {
+	s := e.signals
+	e.signals = 0
+	return s
 }
 
 // NoWakeup is returned by NextWakeup when the EU needs no future tick:
@@ -580,28 +685,28 @@ func (e *EU) MarkDirty() {
 const NoWakeup = int64(^uint64(0) >> 1)
 
 // nextArbCycle returns the first arbitration cycle strictly after now.
-func (e *EU) nextArbCycle(now int64) int64 {
-	if i := int64(e.Cfg.IssueInterval); i > 1 {
-		return (now/i + 1) * i
-	}
-	return now + 1
-}
+func (e *EU) nextArbCycle(now int64) int64 { return e.alignArb(now + 1) }
 
-// alignArb rounds x up to the next arbitration cycle (multiple of the
-// issue interval). A wakeup at a non-arbitration cycle would evaluate
-// nothing, so every issue-relevant threshold must be aligned up.
-func alignArb(x, interval int64) int64 {
-	if interval > 1 {
-		return (x + interval - 1) / interval * interval
+// alignArb rounds x ≥ 0 up to the next arbitration cycle (multiple of
+// the issue interval). A wakeup at a non-arbitration cycle would
+// evaluate nothing, so every issue-relevant threshold must be aligned up.
+func (e *EU) alignArb(x int64) int64 {
+	if m := e.arbMask; m >= 0 {
+		return (x + m) &^ m
 	}
-	return x
+	return (x + e.arb - 1) / e.arb * e.arb
 }
 
 // NextWakeup returns the next cycle at which ticking this EU could do
-// anything, assuming Tick(now) has already run and no external event
-// intervenes. It is conservative: waking earlier than necessary is
-// always safe (the tick degenerates to a no-op window), waking later
-// would lose parity with the per-cycle engine.
+// anything, given its last accounted cycle and no external event in
+// between. Before that cycle the EU is not due: a tick would only
+// repeat its last window's outcome, so the EU may be left untouched and
+// its next Tick accounts the windows it skipped. It is conservative:
+// waking earlier than necessary is always safe (the tick degenerates to
+// a no-op window), waking later would lose parity with the per-cycle
+// engine. The answer can lie at or before the current cycle when an
+// external event (MarkDirty) came after the EU's last tick: the EU is
+// then due at once.
 //
 // If state changed since the last evaluated window (needEval), the next
 // arbitration cycle must be evaluated exactly. Otherwise the last
@@ -609,30 +714,24 @@ func alignArb(x, interval int64) int64 {
 // a writeback retires (wbMin — raw, because writebacks fire on every
 // cycle and the termination check must see the EU go quiet at the exact
 // cycle), a stalled front end refills (readyAt), or — when some thread
-// is ready now — a pipe frees up. Thresholds already in the past are
-// skipped: any unblocking at or before now was visible to the window
-// just evaluated.
-func (e *EU) NextWakeup(now int64) int64 {
+// is ready now — a pipe frees up. Thresholds at or before the last
+// arbitration cycle are skipped: that window saw them.
+func (e *EU) NextWakeup() int64 {
 	w := e.wbMin
+	next := e.nextArbCycle(e.last)
 	if e.needEval {
-		if a := e.nextArbCycle(now); a < w {
-			w = a
-		}
-		return w
+		return min(w, next)
 	}
-	if c := e.wakeCache; c > now {
+	// The last window: the tick at e.last evaluated or repeated it.
+	from := next - e.arb
+	if c := e.wakeCache; c > from {
 		return c
 	}
-	i := int64(e.Cfg.IssueInterval)
 	anyReady := false
-	for ti, th := range e.Threads {
-		if th.State != ThreadReady {
-			continue
-		}
-		if r := e.readyAt[ti]; r > now {
-			if a := alignArb(r, i); a < w {
-				w = a
-			}
+	for m := e.ready; m != 0; m &= m - 1 {
+		ti := bits.TrailingZeros64(m)
+		if r := e.readyAt[ti]; r > from {
+			w = min(w, e.alignArb(r))
 			continue
 		}
 		anyReady = true
@@ -643,43 +742,39 @@ func (e *EU) NextWakeup(now int64) int64 {
 		// (the pipe must accept within the window); one blocked on the
 		// SEND pipe at or after sendFree.
 		for _, pf := range e.pipeFree {
-			if t := pf - i + 1; t > now {
-				if a := alignArb(t, i); a < w {
-					w = a
-				}
+			if t := pf - int64(e.Cfg.IssueInterval) + 1; t > from {
+				w = min(w, e.alignArb(t))
 			}
 		}
-		if t := e.sendFree; t > now {
-			if a := alignArb(t, i); a < w {
-				w = a
-			}
+		if t := e.sendFree; t > from {
+			w = min(w, e.alignArb(t))
 		}
 	}
 	e.wakeCache = w
 	return w
 }
 
-// SkipWindows accounts the arbitration windows in the open interval
-// (from, to) in bulk, as the event core jumps the clock from cycle
-// `from` to cycle `to`. Every skipped window repeats the outcome of the
-// last evaluated window: the jump happens only when NextWakeup proves no
-// state change can occur before `to`, and a no-issue window's outcome
-// depends only on thread states and time thresholds that are constant
-// across the span. The rotating arbiter still advances once per window.
-func (e *EU) SkipWindows(from, to int64) {
-	i := int64(e.Cfg.IssueInterval)
-	if i < 1 {
-		i = 1
+// SkipWindows accounts in bulk the arbitration windows after the EU's
+// last accounted cycle and before cycle to, and makes to-1 the last
+// accounted cycle. Tick calls it to catch up the cycles the EU was left
+// untouched, and the GPU at launch end. Every skipped window repeats
+// the outcome of the last evaluated window: an EU is left untouched
+// only while it is not due, and a no-issue window's outcome depends
+// only on thread states and time thresholds that are constant until
+// then. The rotating arbiter still advances once per window.
+func (e *EU) SkipWindows(to int64) {
+	from := e.last
+	if to-1 > e.last {
+		e.last = to - 1
 	}
-	firstArb := alignArb(from+1, i)
+	firstArb := e.nextArbCycle(from)
 	if firstArb >= to {
 		return
 	}
-	k := (to - 1 - firstArb) / i
-	k++
+	k := (to-1-firstArb)/e.arb + 1
 	e.Windows[e.lastKind] += k
 	if e.probe != nil {
-		for s := firstArb; s < to; s += i {
+		for s := firstArb; s < to; s += e.arb {
 			e.probe.Window(e.ID, s, e.lastKind)
 		}
 	}

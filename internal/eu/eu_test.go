@@ -28,12 +28,14 @@ func mustDecode(p isa.Program) *Program {
 }
 
 // loadThread installs a program on thread slot ti with the given active
-// mask (the dispatch mask stays full SIMD16).
+// mask (the dispatch mask stays full SIMD16) and marks the EU dirty, as
+// the GPU's dispatch does.
 func loadThread(e *EU, ti int, p isa.Program, active mask.Mask) *Thread {
 	th := e.Threads[ti]
 	th.Reset(mustDecode(p), 16, 0xFFFF)
 	th.Active = active
 	th.Stats = stats.NewRun("t", 16)
+	e.MarkDirty()
 	return th
 }
 
@@ -313,4 +315,22 @@ func TestJumpPenaltySlowsDivergentKernel(t *testing.T) {
 	if slow <= fast {
 		t.Fatalf("jump penalty had no effect: %d vs %d", fast, slow)
 	}
+}
+
+// TestNewRejectsMoreThreadsThanTheReadyMask checks that New panics for
+// an EU with more threads than its ready mask has bits, and builds one
+// with exactly that many.
+func TestNewRejectsMoreThreadsThanTheReadyMask(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ThreadsPerEU = MaxThreads
+	if e := New(0, cfg, memory.NewSystem(memory.DefaultConfig())); len(e.Threads) != MaxThreads {
+		t.Fatalf("%d threads, want %d", len(e.Threads), MaxThreads)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted more threads than the ready mask holds")
+		}
+	}()
+	cfg.ThreadsPerEU = MaxThreads + 1
+	New(0, cfg, memory.NewSystem(memory.DefaultConfig()))
 }

@@ -56,6 +56,7 @@ func runDivergentKernel(t *testing.T, policy compaction.Policy, probe obs.Probe)
 		th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
 		th.Stats = run
 	}
+	sysEU.MarkDirty()
 	var cycle int64
 	for {
 		sys.Tick(cycle)

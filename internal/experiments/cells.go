@@ -53,15 +53,30 @@ func (c cell) eachPolicy(ps ...compaction.Policy) []cell {
 	return out
 }
 
-// label names the cell as "<workload>/<policy>/dc<N>[/pl3]": the probe
-// label of a timed cell and the prefix of a failing cell's error.
+// label names the cell as
+// "<workload>/<policy>/dc<N>[/pl3][/iw<N>][/jp<N>][/functional]", with
+// the issue width and jump penalty only when the cell sets them: the
+// probe label of a timed cell and the prefix of a failing cell's error.
 func (c cell) label() string {
 	l := fmt.Sprintf("%s/%s/dc%d", c.spec.Name, c.policy, c.config().Mem.DCLinesPerCycle)
 	if c.pl3 {
 		l += "/pl3"
 	}
+	if c.issue > 0 {
+		l += fmt.Sprintf("/iw%d", c.issue)
+	}
+	if c.jump > 0 {
+		l += fmt.Sprintf("/jp%d", c.jump)
+	}
+	if !c.timed {
+		l += "/functional"
+	}
 	return l
 }
+
+// onRunCells, when a test sets it, sees every batch of cells runCells
+// is given, before any runs.
+var onRunCells func([]cell)
 
 // run executes the cell on a fresh GPU. A timed cell gets the probe that
 // the context's factory (obs.ContextWithProbes) makes for its label.
@@ -80,6 +95,9 @@ func (c cell) run(ctx context.Context) (*stats.Run, error) {
 // assembled from them is identical at any worker count. The error is the
 // lowest-indexed failing cell's, prefixed with its label.
 func runCells(ctx context.Context, workers int, cells []cell) ([]*stats.Run, error) {
+	if onRunCells != nil {
+		onRunCells(cells)
+	}
 	runs := make([]*stats.Run, len(cells))
 	err := par.ForErr(workers, len(cells), func(i int) error {
 		r, err := cells[i].run(ctx)

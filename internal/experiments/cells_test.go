@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"sort"
 	"strings"
@@ -57,9 +58,9 @@ func (r *labelRecorder) probe(label string) obs.Probe {
 
 // TestTimedCellsGetProbes checks that every timed cell of an experiment
 // gets one probe from the context's factory, labelled
-// "<workload>/<policy>/dc<N>[/pl3]": Fig. 12's workload cells and the
-// issue ablation's micro-benchmark cells alike. Functional cells, such as
-// the width ablation's, get none.
+// "<workload>/<policy>/dc<N>[/pl3][/iw<N>]": Fig. 12's workload cells and
+// the issue ablation's micro-benchmark cells alike. Functional cells, such
+// as the width ablation's, get none.
 func TestTimedCellsGetProbes(t *testing.T) {
 	var fig12 []string
 	for _, s := range workloads.ByClass("rodinia") {
@@ -73,8 +74,8 @@ func TestTimedCellsGetProbes(t *testing.T) {
 	}{
 		{"fig12", fig12},
 		{"ablation-issue", []string{
-			"ubench-000f/baseline/dc1", "ubench-000f/scc/dc1",
-			"ubench-000f/baseline/dc1", "ubench-000f/scc/dc1",
+			"ubench-000f/baseline/dc1/iw1", "ubench-000f/scc/dc1/iw1",
+			"ubench-000f/baseline/dc1/iw2", "ubench-000f/scc/dc1/iw2",
 		}},
 		{"ablation-width", nil},
 	} {
@@ -112,5 +113,39 @@ func TestRunCellsLabelsErrors(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "bitonic/scc/dc2/pl3: ") {
 		t.Errorf("error %q does not start with the failing cell's label", err)
+	}
+}
+
+// TestCellLabelsNameEveryKnob runs the quick suite and requires that two
+// cells share a label only when they describe the same simulation: equal
+// once the host check, which changes no statistic, is cleared and a zero
+// DC bandwidth reads as the Table 3 value it keeps. A label that left out
+// a knob would name two simulations alike in timelines and errors.
+func TestCellLabelsNameEveryKnob(t *testing.T) {
+	var mu sync.Mutex
+	byLabel := map[string]cell{}
+	var clashes []string
+	onRunCells = func(cells []cell) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range cells {
+			l := c.label()
+			c.verify = false
+			c.dc = c.config().Mem.DCLinesPerCycle
+			if prev, ok := byLabel[l]; ok && prev != c {
+				clashes = append(clashes, fmt.Sprintf("%s: %+v and %+v", l, prev, c))
+			}
+			byLabel[l] = c
+		}
+	}
+	t.Cleanup(func() { onRunCells = nil })
+	if err := RunAll(&Context{Out: io.Discard, Quick: true, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(byLabel) == 0 {
+		t.Fatal("the quick suite ran no cells")
+	}
+	for _, c := range clashes {
+		t.Error(c)
 	}
 }

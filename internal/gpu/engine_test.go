@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -217,5 +218,116 @@ func TestParseEngine(t *testing.T) {
 	var zero Config
 	if zero.Engine != EngineEvent {
 		t.Fatal("zero-value config must select the event core")
+	}
+}
+
+// wgProbe records the workgroup dispatch and retire events in order.
+type wgProbe struct {
+	obs.NullProbe
+	events []string
+}
+
+func (p *wgProbe) WorkgroupDispatched(e obs.WGEvent) {
+	p.events = append(p.events, fmt.Sprintf("cycle %d: wg %d to EU %d", e.Cycle, e.WG, e.EU))
+}
+
+func (p *wgProbe) WorkgroupRetired(wg int, cycle int64) {
+	p.events = append(p.events, fmt.Sprintf("cycle %d: wg %d retired", cycle, wg))
+}
+
+// TestWorkgroupSequenceParity runs a barrier kernel with more workgroups
+// than thread slots, so dispatch waits on retires and on a retired
+// group's store still in flight. The event core retries dispatch and
+// scans for barrier releases and retires only after the events that can
+// change what they find; its dispatch and retire sequence must still
+// match the tick core's, which runs both every cycle, event for event and
+// cycle for cycle.
+func TestWorkgroupSequenceParity(t *testing.T) {
+	const groups, gsize = 64, 32 // 2 threads each; 36 slots hold 18 groups
+	k := wgSumKernel(t)
+	var want []string
+	for _, eng := range []Engine{EngineTick, EngineEvent} {
+		probe := &wgProbe{}
+		cfg := DefaultConfig()
+		cfg.Engine = eng
+		cfg.EU.Probe = probe
+		g := New(cfg)
+		out := g.AllocU32(groups, make([]uint32, groups))
+		spec := LaunchSpec{Kernel: k, GlobalSize: groups * gsize, GroupSize: gsize, Args: []uint32{out}}
+		if _, err := g.RunCtx(context.Background(), spec); err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		checkWGSums(t, g, out, groups, gsize)
+		if len(probe.events) != 2*groups {
+			t.Fatalf("%s: %d workgroup events, want %d", eng, len(probe.events), 2*groups)
+		}
+		if want == nil {
+			want = probe.events
+			continue
+		}
+		for i := range want {
+			if probe.events[i] != want[i] {
+				t.Fatalf("%s: workgroup event %d is %q, the tick core's %q", eng, i, probe.events[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAbortedLaunchLeavesGPUUsable aborts a timed launch mid-run, once on
+// its cycle budget and once by cancelling its context, and requires the
+// next launch on the same GPU to complete with the right output and to
+// leave every thread slot idle and no request in flight: the aborted
+// launch's workgroups, thread slots and in-flight requests must not carry
+// over.
+func TestAbortedLaunchLeavesGPUUsable(t *testing.T) {
+	k := vecAddKernel(t, isa.SIMD16)
+	next := func(t *testing.T, g *GPU) {
+		t.Helper()
+		const n = 64 // 500 cycles on a fresh GPU
+		g.Cfg.MaxCycles = 100_000
+		spec, _, _, c := launchVecAdd(t, g, k, n)
+		if _, err := g.RunCtx(context.Background(), spec); err != nil {
+			t.Fatalf("launch after the aborted one: %v", err)
+		}
+		out := g.ReadBufferF32(c, n)
+		for i := range out {
+			if out[i] != float32(3*i) {
+				t.Fatalf("c[%d] = %v, want %v", i, out[i], float32(3*i))
+			}
+		}
+		for _, e := range g.EUs {
+			if idle := len(e.IdleSlotsInto(nil)); idle != g.Cfg.EU.ThreadsPerEU {
+				t.Fatalf("EU %d: %d of %d thread slots idle after the launch", e.ID, idle, g.Cfg.EU.ThreadsPerEU)
+			}
+		}
+		if g.Mem.InFlight() {
+			t.Fatal("memory requests in flight after the launch")
+		}
+	}
+	for _, eng := range []Engine{EngineTick, EngineEvent} {
+		t.Run("budget/"+eng.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Engine = eng
+			cfg.MaxCycles = 300
+			g := New(cfg)
+			spec, _, _, _ := launchVecAdd(t, g, k, 4096)
+			if _, err := g.RunCtx(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "exceeded") {
+				t.Fatalf("err = %v, want the cycle budget exceeded", err)
+			}
+			next(t, g)
+		})
+		t.Run("cancel/"+eng.String(), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := DefaultConfig()
+			cfg.Engine = eng
+			cfg.EU.Probe = &cancelProbe{cancel: cancel}
+			g := New(cfg)
+			spec, _, _, _ := launchVecAdd(t, g, k, 16384)
+			if _, err := g.RunCtx(ctx, spec); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			next(t, g)
+		})
 	}
 }

@@ -190,7 +190,8 @@ type GPU struct {
 	// workgroup records, the live-workgroup list, and the dispatch
 	// free-slot buffer. Allocating any of these per workgroup or — worse
 	// — iterating a map per cycle dominated the timed-loop profile
-	// before they were pooled.
+	// before they were pooled. A launch that aborts leaves its live
+	// workgroups in live; the next timed launch retires them first.
 	wgPool []*workgroup
 	live   []*workgroup
 	slots  []int
@@ -203,11 +204,6 @@ type GPU struct {
 	// pools[w] is functional worker w's thread-context pool, grown to
 	// the largest workgroup launched so far.
 	pools [][]*eu.Thread
-
-	// cal is the event core's wakeup calendar, re-armed every iteration;
-	// its backing array is preallocated with the EUs so arming allocates
-	// nothing.
-	cal calendar
 }
 
 // getWorkgroup reuses or creates a workgroup record, with a zeroed SLM
@@ -274,8 +270,8 @@ func New(cfg Config) *GPU {
 }
 
 // buildTimed builds what only the timed core uses, on the GPU's first
-// timed run: the EUs and the calendar's backing array. The caches build
-// their arrays on their first access, which only the timed core makes.
+// timed run: the EUs. The caches build their arrays on their first
+// access, which only the timed core makes.
 func (g *GPU) buildTimed() {
 	if g.EUs != nil {
 		return
@@ -284,7 +280,24 @@ func (g *GPU) buildTimed() {
 	for i := range g.EUs {
 		g.EUs[i] = eu.New(i, g.Cfg.EU, g.Mem)
 	}
-	g.cal.h = make([]wakeup, 0, g.Cfg.NumEUs+2)
+}
+
+// beginTimed readies the EUs and the memory system for a timed launch.
+// A launch that aborted (cycle budget or cancellation) left workgroups
+// live, threads in their slots and requests in flight: its workgroups
+// return to the pools with idle members, and the EUs and the memory
+// system drop the rest. After a completed launch there is nothing to
+// drop. Cache contents stay warm.
+func (g *GPU) beginTimed() {
+	for i, wg := range g.live {
+		g.putWorkgroup(wg)
+		g.live[i] = nil
+	}
+	g.live = g.live[:0]
+	for _, e := range g.EUs {
+		e.BeginLaunch()
+	}
+	g.Mem.BeginLaunch()
 }
 
 // program returns the kernel's decoded program, decoding it on the
@@ -374,10 +387,33 @@ func initThread(th *eu.Thread, spec *LaunchSpec, prog *eu.Program, wg, tIdx int,
 	}
 }
 
+// nextLanding returns the cycle the event core lands at after now: the
+// earliest wakeup of any EU or of the memory system, or now+1 when one
+// is imminent or stale (an EU marked dirty after its last tick). With
+// no wakeup at all, no event can ever fire again: that is the state the
+// tick core spins in until its budget runs out, so it returns the
+// first cycle past the budget.
+func (g *GPU) nextLanding(now int64) int64 {
+	best := g.Mem.NextEvent(now)
+	for _, e := range g.EUs {
+		if best <= now+1 {
+			break
+		}
+		best = min(best, e.NextWakeup())
+	}
+	switch {
+	case best <= now+1:
+		return now + 1
+	case best == eu.NoWakeup: // memory.NoEvent is the same sentinel
+		return g.Cfg.MaxCycles + 1
+	}
+	return best
+}
+
 // ctxCheckInterval gates how often the timed loop polls for
 // cancellation: at the first event batch at least 4096 simulated cycles
 // after the previous poll — far finer than a workgroup lifetime, at
-// negligible cost, and jump-aware (a calendar jump past the watermark
+// negligible cost, and jump-aware (a clock jump past the watermark
 // polls at the landing rather than waiting for an exact multiple).
 const ctxCheckInterval = 1 << 12
 
@@ -397,13 +433,14 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if g.Cfg.EU.ThreadsPerEU > eu.MaxThreads {
+		return nil, fmt.Errorf("gpu: %d threads per EU, the timed core holds at most %d", g.Cfg.EU.ThreadsPerEU, eu.MaxThreads)
+	}
 	g.buildTimed()
+	g.beginTimed()
 	done := ctx.Done()
 	run := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 	run.TimedPolicy = g.Cfg.EU.Policy
-	for _, e := range g.EUs {
-		e.BeginLaunch()
-	}
 	probe := g.Cfg.EU.Probe
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{
@@ -413,30 +450,39 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 	}
 
 	nextWG := 0
-	live := g.live[:0]
+	live := g.live
 	var cycle int64
 	nextCtxCheck := int64(ctxCheckInterval)
-	arbI := int64(g.Cfg.EU.IssueInterval)
-	if arbI < 1 {
-		arbI = 1
-	}
-	g.Mem.ResetClock()
+	tick := g.Cfg.Engine == EngineTick
+	// The event core retries dispatch only after a workgroup retired or a
+	// memory completion freed a slot, and scans the live workgroups only
+	// after a thread parked or halted: no other event changes what those
+	// passes find. The tick core runs both every cycle.
+	retryDispatch, scanLive := true, false
 
-	// Each iteration simulates exactly one cycle, identically under both
-	// engines; they differ only in how the clock advances afterwards. The
-	// tick core steps to cycle+1. The event core jumps to the earliest
-	// calendar wakeup, first accounting the skipped arbitration windows in
-	// bulk — conservative wakeups make early landings harmless (they
-	// degenerate to per-cycle stepping), so the two cores visit the same
-	// state-changing cycles and produce bit-identical statistics.
+	// Each iteration simulates one cycle; the cores differ in what they
+	// touch there and in how the clock advances afterwards. The tick core
+	// ticks every EU and steps to cycle+1. The event core ticks only the
+	// EUs that are due, each of which first accounts in bulk the windows
+	// it was left untouched, and jumps to the earliest wakeup of any EU
+	// or the memory system. Conservative wakeups make early landings
+	// harmless (they degenerate to per-cycle stepping), so the two cores
+	// visit the same state-changing cycles and produce bit-identical
+	// statistics.
 	for {
 		g.Mem.Tick(cycle)
+		var sig eu.Signal
 		for _, e := range g.EUs {
-			e.Tick(cycle)
+			if tick || e.NextWakeup() <= cycle {
+				e.Tick(cycle)
+			}
+			sig |= e.TakeSignals()
 		}
+		retryDispatch = retryDispatch || tick || sig&eu.SignalSlotFreed != 0
+		scanLive = tick || sig&eu.SignalParked != 0
 
 		// Dispatch: place whole workgroups onto EUs with enough free slots.
-		for nextWG < numWGs {
+		for retryDispatch && nextWG < numWGs {
 			placed := false
 			for _, e := range g.EUs {
 				g.slots = e.IdleSlotsInto(g.slots)
@@ -458,9 +504,7 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 				placed = true
 				break
 			}
-			if !placed {
-				break
-			}
+			retryDispatch = placed
 		}
 
 		// Barrier release: when every member of a workgroup is parked.
@@ -468,10 +512,9 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 		// irrelevant) and return to the pools. Releases and retires
 		// mutate thread state behind the EUs' backs, so their EUs are
 		// marked dirty; a retire additionally frees dispatch slots, which
-		// the tick core would fill next cycle — the event core schedules
-		// a dispatch-retry wakeup at cycle+1 to match.
-		retiredWG := false
-		for i := 0; i < len(live); {
+		// the tick core would fill next cycle — the event core lands at
+		// cycle+1 to retry dispatch there.
+		for i := 0; scanLive && i < len(live); {
 			wg := live[i]
 			atBar, done := 0, 0
 			for _, th := range wg.members {
@@ -498,7 +541,7 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 					probe.WorkgroupRetired(wg.id, cycle)
 				}
 				g.putWorkgroup(wg)
-				retiredWG = true
+				retryDispatch = true
 				continue
 			}
 			i++
@@ -518,90 +561,34 @@ func (g *GPU) RunCtx(ctx context.Context, spec LaunchSpec) (*stats.Run, error) {
 			}
 		}
 
-		// Advance the clock. Fast path first: if any source already wakes
-		// at cycle+1 the clock cannot jump, so arming the calendar would
-		// be pure overhead — on compute-bound runs nearly every cycle has
-		// an imminent wakeup, and this check keeps the event core's cost
-		// there within noise of the tick core. Only when every wakeup lies
-		// strictly beyond cycle+1 is the calendar armed to pick the jump
-		// target.
 		next := cycle + 1
-		if g.Cfg.Engine == EngineEvent {
-			imminent := retiredWG && nextWG < numWGs
-			// best tracks the earliest wakeup seen so far while arming;
-			// candidates that cannot improve it are not inserted (they can
-			// never become the jump target — the calendar is re-armed from
-			// scratch at the next landing anyway).
-			best := eu.NoWakeup
-			if !imminent {
-				g.cal.reset()
-				for i, e := range g.EUs {
-					if at := e.NextWakeup(cycle); at < best {
-						// A stale (≤ cycle) wakeup is a conservative
-						// early landing: treat it as imminent.
-						if at <= cycle+1 {
-							imminent = true
-							break
-						}
-						best = at
-						g.cal.push(wakeup{cycle: at, source: srcEU, seq: int32(i)})
-					}
-				}
-			}
-			if !imminent {
-				// memory.NoEvent and eu.NoWakeup are the same sentinel, so a
-				// no-event answer can never pass the improvement test.
-				if at := g.Mem.NextEvent(cycle); at < best {
-					if at <= cycle+1 {
-						imminent = true
-					} else {
-						best = at
-						g.cal.push(wakeup{cycle: at, source: srcMemory})
-					}
-				}
-			}
-			if !imminent {
-				if w, ok := g.cal.min(); ok {
-					next = w.cycle
-				} else {
-					// Empty calendar with the termination check failed: no
-					// event can ever fire, which is the state the tick core
-					// spins on until its budget runs out. Take the same exit
-					// immediately.
-					next = g.Cfg.MaxCycles + 1
-				}
-			}
+		if !tick && !(retryDispatch && nextWG < numWGs) {
+			next = g.nextLanding(cycle)
 		}
-		// The budget check precedes the bulk window accounting: an
-		// over-budget run returns no statistics, and the tick core errors
-		// in exactly the same cases (termination happens only at
-		// state-changing cycles, which both cores visit).
+		// An over-budget run returns no statistics. The tick core errors
+		// in exactly the same cases: termination happens only at
+		// state-changing cycles, which both cores visit.
 		if next > g.Cfg.MaxCycles {
+			g.live = live
 			return nil, fmt.Errorf("gpu: kernel %s exceeded %d cycles", spec.Kernel.Name, g.Cfg.MaxCycles)
-		}
-		if next > cycle+1 {
-			// Hoisted guard: the IssueInterval is uniform across EUs, so if
-			// no arbitration cycle falls in the skipped gap (the common
-			// jump-by-2 from an even cycle under IssueInterval 2), there are
-			// no windows to account on any EU.
-			if ((cycle+arbI)/arbI)*arbI < next {
-				for _, e := range g.EUs {
-					e.SkipWindows(cycle, next)
-				}
-			}
 		}
 		cycle = next
 		if done != nil && cycle >= nextCtxCheck {
 			nextCtxCheck = cycle + ctxCheckInterval
 			select {
 			case <-done:
+				g.live = live
 				return nil, ctx.Err()
 			default:
 			}
 		}
 	}
 
-	g.live = live[:0] // hand the grown backing array to the next launch
+	// EUs left untouched up to the last cycle account its windows now.
+	for _, e := range g.EUs {
+		e.SkipWindows(cycle + 1)
+	}
+	g.live = live // empty: hands the grown backing array to the next launch
 	if probe != nil {
 		probe.LaunchEnd(cycle)
 	}

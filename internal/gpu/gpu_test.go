@@ -253,11 +253,19 @@ func TestLaunchValidation(t *testing.T) {
 	if _, err := g.RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: 1024, GroupSize: 1024}); err == nil {
 		t.Error("oversized workgroup accepted")
 	}
+	// More threads per EU than the timed core's ready mask holds.
+	cfg := DefaultConfig()
+	cfg.EU.ThreadsPerEU = eu.MaxThreads + 1
+	if _, err := New(cfg).RunCtx(context.Background(), LaunchSpec{Kernel: k, GlobalSize: 64, GroupSize: 64}); err == nil {
+		t.Error("timed run accepted more threads per EU than the ready mask holds")
+	}
 }
 
-func TestBarrierAndSLM(t *testing.T) {
-	// Workgroup reduction: each thread stores its lane sum into SLM,
-	// barrier, thread 0 of the workgroup sums them and writes the result.
+// wgSumKernel is a workgroup reduction: each thread stores its lanes'
+// global ids into SLM, the workgroup meets at a barrier, and lane 0 of
+// thread 0 sums the entries and writes the sum to out[group] (argument 0).
+func wgSumKernel(t *testing.T) *isa.Kernel {
+	t.Helper()
 	b := kbuild.New("wgsum", isa.SIMD16)
 	// Store per-lane global ids into SLM at local offsets.
 	lid := b.Vec()
@@ -302,15 +310,13 @@ func TestBarrierAndSLM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	return k
+}
 
-	const groups, gsize = 3, 32
-	g := New(DefaultConfig())
-	out := g.AllocU32(groups, make([]uint32, groups))
-	spec := LaunchSpec{Kernel: k, GlobalSize: groups * gsize, GroupSize: gsize, Args: []uint32{out}}
-	run, err := g.RunCtx(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+// checkWGSums requires out[wg] to hold the sum of the global ids of
+// workgroup wg's gsize items.
+func checkWGSums(t *testing.T, g *GPU, out uint32, groups, gsize int) {
+	t.Helper()
 	got := g.ReadBufferU32(out, groups)
 	for wg := 0; wg < groups; wg++ {
 		want := uint32(0)
@@ -321,6 +327,19 @@ func TestBarrierAndSLM(t *testing.T) {
 			t.Fatalf("workgroup %d sum = %d, want %d", wg, got[wg], want)
 		}
 	}
+}
+
+func TestBarrierAndSLM(t *testing.T) {
+	k := wgSumKernel(t)
+	const groups, gsize = 3, 32
+	g := New(DefaultConfig())
+	out := g.AllocU32(groups, make([]uint32, groups))
+	spec := LaunchSpec{Kernel: k, GlobalSize: groups * gsize, GroupSize: gsize, Args: []uint32{out}}
+	run, err := g.RunCtx(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkWGSums(t, g, out, groups, gsize)
 	if run.Barriers == 0 {
 		t.Fatal("barriers not recorded")
 	}

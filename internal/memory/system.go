@@ -149,7 +149,7 @@ type System struct {
 	// by cycle — admissions still happen at their exact internal cycles,
 	// so an event-driven caller that skips idle cycles observes the same
 	// queue drain as one that ticks every cycle. -1 means no cycle has
-	// been processed yet (see ResetClock).
+	// been processed yet (see BeginLaunch).
 	lastTick int64
 
 	Stats Stats
@@ -171,13 +171,21 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// ResetClock rewinds the internal tick clock for a launch whose cycle
-// counter restarts at zero. The GPU calls it at the start of every timed
-// run; without it Tick(0) of a second launch would be treated as an
-// already-processed cycle and the data cluster would never admit the new
-// launch's requests. Cache and DRAM bandwidth state deliberately persist
-// across launches.
-func (s *System) ResetClock() { s.lastTick = -1 }
+// BeginLaunch readies the data cluster for a launch whose cycle counter
+// restarts at zero. The GPU calls it at the start of every timed run. It
+// rewinds the internal tick clock: without that, Tick(0) of a second
+// launch would be treated as an already-processed cycle and the data
+// cluster would never admit the new launch's requests. It also drops the
+// requests a launch aborted mid-run left queued or pending; a completed
+// launch leaves none. Cache and DRAM bandwidth state deliberately
+// persist across launches.
+func (s *System) BeginLaunch() {
+	s.lastTick = -1
+	clear(s.queue)
+	s.queue, s.qHead = s.queue[:0], 0
+	clear(s.pending)
+	s.pending = s.pending[:0]
+}
 
 // RequestLines enqueues a SEND's coalesced line requests into the data
 // cluster. done.LinesReady is invoked (during a later Tick) with the cycle
