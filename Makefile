@@ -42,7 +42,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -tags statsguard ./internal/stats/ ./internal/gpu/ ./internal/workloads/ ./internal/par/ ./internal/serve/ ./internal/memory/
 
-.PHONY: build vet test fmt-check bench-check race check bench verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke results-check
+.PHONY: build vet test fmt-check bench-check race check bench bench-gate verify fuzz-smoke timeline-smoke sweep-smoke corpus examples-smoke results-check
 
 check: build vet fmt-check test race bench-check examples-smoke results-check
 
@@ -82,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMetamorphicCycles -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzKernelGen -fuzztime $(FUZZTIME) ./internal/kgen/
 	$(GO) test -run '^$$' -fuzz FuzzLaneLoop -fuzztime $(FUZZTIME) ./internal/eu/
+	$(GO) test -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime $(FUZZTIME) ./internal/trace/
 
 # corpus runs the seeded kernel corpus through the full differential
 # pipeline: every generated kernel checked against its straight-line
@@ -133,9 +134,16 @@ sweep-smoke:
 
 # bench runs every benchmark with allocation reporting, and no unit test
 # (-run '^$'), and converts the output into $(BENCHOUT) (ns/op, B/op,
-# allocs/op per benchmark) for the bench-trajectory artifact uploaded by
-# CI's bench-smoke job. The checked-in BENCH_timed.json is the median of
-# five samples per benchmark, from the same go test command with
-# -benchtime 10x -count 5 piped into cmd/benchjson.
+# allocs/op per benchmark). The checked-in BENCH_timed.json is the median
+# of five samples per benchmark, with each column's spread, from the same
+# go test command with -benchtime 10x -count 5 piped into cmd/benchjson.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... | $(GO) run ./cmd/benchjson -o $(BENCHOUT)
+
+# bench-gate runs every benchmark once at BENCH_timed.json's -benchtime
+# (10x, enough to amortize first-use tables) and fails when a row's
+# allocs/op or B/op exceeds the checked-in median by more than its
+# five-sample spread (cmd/benchjson -compare). benchjson refuses a run
+# of another Go version or GOMAXPROCS than the file's, so CI pins both.
+bench-gate:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 10x ./... | $(GO) run ./cmd/benchjson -o bench-gate.json -compare BENCH_timed.json

@@ -11,9 +11,17 @@
 // row names; the header records GOMAXPROCS and the Go version once
 // instead.
 //
+// With -compare BASE.json it then gates allocations: it fails when a
+// benchmark's allocs/op or B/op exceeds BASE.json's median for the row
+// by more than an allowance taken from the spread of BASE.json's
+// samples (see allowance). It reports ns/op ratios without judging
+// them, lists the rows missing on either side, and refuses to compare
+// results of another Go version or GOMAXPROCS.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem -benchtime 10x -count 5 ./... | benchjson -o BENCH_timed.json
+//	go test -run '^$' -bench . -benchmem -benchtime 10x ./... | benchjson -o bench-gate.json -compare BENCH_timed.json
 package main
 
 import (
@@ -21,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -42,6 +51,11 @@ type Result struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Samples is how many lines of the benchmark the record folds.
 	Samples int `json:"samples"`
+	// BytesSpread and AllocsSpread are the range, largest less smallest,
+	// of B/op and allocs/op over those samples, from which -compare
+	// takes a row's allowance.
+	BytesSpread  int64 `json:"bytes_per_op_spread,omitempty"`
+	AllocsSpread int64 `json:"allocs_per_op_spread,omitempty"`
 }
 
 // median returns the median of xs: the middle value, or the mean of the
@@ -53,6 +67,11 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// spread returns the largest of xs less the smallest.
+func spread(xs []float64) int64 {
+	return int64(slices.Max(xs) - slices.Min(xs))
 }
 
 // fold merges the samples of each benchmark, named by package and name,
@@ -84,10 +103,12 @@ func fold(samples []Result) []Result {
 		}
 		r := Result{
 			Name: k.name, Package: k.pkg, Samples: len(ns),
-			Iters:    int64(math.Round(median(iters))),
-			NsPerOp:  median(ns),
-			BPerOp:   int64(math.Round(median(bytes))),
-			AllocsOp: int64(math.Round(median(allocs))),
+			Iters:        int64(math.Round(median(iters))),
+			NsPerOp:      median(ns),
+			BPerOp:       int64(math.Round(median(bytes))),
+			AllocsOp:     int64(math.Round(median(allocs))),
+			BytesSpread:  spread(bytes),
+			AllocsSpread: spread(allocs),
 		}
 		for u, xs := range units {
 			if r.Metrics == nil {
@@ -197,8 +218,92 @@ func parseLine(line, pkg string) (r Result, procs int, ok bool) {
 	return r, procs, r.NsPerOp > 0
 }
 
+// allowance is how far a row's allocs/op or B/op may exceed its base
+// median: twice the base samples' spread, and at least a tenth of the
+// median. Five samples understate the range of a benchmark whose
+// allocations depend on how its workers split the work: the functional
+// engine's, on 2 CPUs, read 155–157 kB/op in five samples and
+// 161–169 kB/op in twelve more. A row that allocates nothing is allowed
+// nothing.
+func allowance(median, spread int64) int64 {
+	return max(2*spread, median/10)
+}
+
+// compare checks cur against base row by row, matched by package and
+// name, and writes one line per row to w: allocs/op and B/op against
+// the base median and allowance, and the ns/op ratio, which it reports
+// but does not judge, since host speed drifts by more than a regression
+// of interest. It returns the rows that allocate more than their
+// allowance, and lists rows missing on either side. It refuses, with an
+// error, to compare files written by different Go versions or at
+// different GOMAXPROCS, whose allocation counts need not agree.
+func compare(base, cur *Report, w io.Writer) (failed []string, err error) {
+	if base.GoVersion != cur.GoVersion {
+		return nil, fmt.Errorf("base written by %s, this run by %s: allocation counts differ between Go versions", base.GoVersion, cur.GoVersion)
+	}
+	if base.GOMAXPROCS != cur.GOMAXPROCS {
+		return nil, fmt.Errorf("base written at GOMAXPROCS %d, this run at %d: parallel benchmarks allocate per worker", base.GOMAXPROCS, cur.GOMAXPROCS)
+	}
+	type key struct{ pkg, name string }
+	baseRows := make(map[key]Result, len(base.Results))
+	for _, r := range base.Results {
+		baseRows[key{r.Package, r.Name}] = r
+	}
+	seen := map[key]bool{}
+	for _, c := range cur.Results {
+		k := key{c.Package, c.Name}
+		b, ok := baseRows[k]
+		if !ok {
+			fmt.Fprintf(w, "new      %s %s: no base row\n", c.Package, c.Name)
+			continue
+		}
+		seen[k] = true
+		allocTol, byteTol := allowance(b.AllocsOp, b.AllocsSpread), allowance(b.BPerOp, b.BytesSpread)
+		verdict := "ok  "
+		if c.AllocsOp > b.AllocsOp+allocTol || c.BPerOp > b.BPerOp+byteTol {
+			verdict = "FAIL"
+			failed = append(failed, c.Package+" "+c.Name)
+		}
+		ratio := math.NaN()
+		if b.NsPerOp > 0 {
+			ratio = c.NsPerOp / b.NsPerOp
+		}
+		fmt.Fprintf(w, "%s     %s %s: allocs/op %d vs %d (+%d allowed), B/op %d vs %d (+%d allowed), ns/op x%.2f\n",
+			verdict, c.Package, c.Name, c.AllocsOp, b.AllocsOp, allocTol, c.BPerOp, b.BPerOp, byteTol, ratio)
+	}
+	for _, b := range base.Results {
+		if !seen[key{b.Package, b.Name}] {
+			fmt.Fprintf(w, "missing  %s %s: in the base, not in this run\n", b.Package, b.Name)
+		}
+	}
+	return failed, nil
+}
+
+// gate compares rep against the report in the file base.
+func gate(base string, rep *Report) error {
+	data, err := os.ReadFile(base)
+	if err != nil {
+		return err
+	}
+	var b Report
+	if err := json.Unmarshal(data, &b); err != nil {
+		return fmt.Errorf("%s: %w", base, err)
+	}
+	failed, err := compare(&b, rep, os.Stderr)
+	if err != nil {
+		return fmt.Errorf("refusing to compare with %s: %w", base, err)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d rows allocate more than %s allows: %s",
+			len(failed), len(rep.Results), base, strings.Join(failed, ", "))
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: no row allocates more than %s allows\n", base)
+	return nil
+}
+
 func main() {
 	out := flag.String("o", "BENCH_timed.json", "output JSON file")
+	base := flag.String("compare", "", "fail when a benchmark allocates more per op than this earlier output allows")
 	flag.Parse()
 
 	rep := Report{GoVersion: runtime.Version()}
@@ -259,4 +364,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(rep.Results), *out)
+	if *base != "" {
+		if err := gate(*base, &rep); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
 }

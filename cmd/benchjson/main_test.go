@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 // TestParseLineDropsProcsSuffix checks that a result is named without the
 // GOMAXPROCS suffix go test appends, whatever its value, so files written
@@ -69,10 +73,11 @@ func TestFoldTakesMedians(t *testing.T) {
 	fig3 := got[0]
 	if fig3.Name != "BenchmarkFig3" || fig3.Package != "intrawarp" || fig3.Samples != 3 ||
 		fig3.NsPerOp != 60 || fig3.BPerOp != 600 || fig3.AllocsOp != 7 || fig3.Iters != 10 ||
-		fig3.Metrics["ns/lane"] != 2 {
-		t.Errorf("folded Fig3 %+v, want medians 60 ns/op, 600 B/op, 7 allocs/op, 2 ns/lane over 3 samples", fig3)
+		fig3.Metrics["ns/lane"] != 2 || fig3.BytesSpread != 200 || fig3.AllocsSpread != 4 {
+		t.Errorf("folded Fig3 %+v, want medians 60 ns/op, 600 B/op, 7 allocs/op, 2 ns/lane and spreads 200 B/op, 4 allocs/op over 3 samples", fig3)
 	}
-	if t3 := got[1]; t3.Name != "BenchmarkTable3" || t3.Samples != 1 || t3.NsPerOp != 5 || t3.Metrics != nil {
+	if t3 := got[1]; t3.Name != "BenchmarkTable3" || t3.Samples != 1 || t3.NsPerOp != 5 || t3.Metrics != nil ||
+		t3.BytesSpread != 0 || t3.AllocsSpread != 0 {
 		t.Errorf("single sample folded to %+v", t3)
 	}
 	if other := got[2]; other.Package != "intrawarp/other" || other.Samples != 1 || other.NsPerOp != 1 {
@@ -80,5 +85,95 @@ func TestFoldTakesMedians(t *testing.T) {
 	}
 	if m := median([]float64{4, 1, 3, 2}); m != 2.5 {
 		t.Errorf("median of an even count = %v, want 2.5", m)
+	}
+}
+
+// TestCompare checks the allocation gate row by row: a row passes
+// within twice its base spread or a tenth of its median, whichever is
+// more, fails beyond it in allocs/op or B/op, a row that allocated
+// nothing fails on its first allocation, ns/op never fails, and rows
+// missing on either side are listed without failing. Files of another
+// Go version or GOMAXPROCS are refused.
+func TestCompare(t *testing.T) {
+	row := func(name string, ns float64, b, allocs, bSpread, allocSpread int64) Result {
+		return Result{Name: name, Package: "intrawarp", NsPerOp: ns, BPerOp: b, AllocsOp: allocs,
+			BytesSpread: bSpread, AllocsSpread: allocSpread, Samples: 5}
+	}
+	report := func(rows ...Result) *Report {
+		return &Report{GoVersion: "go1.24.0", GOMAXPROCS: 2, Results: rows}
+	}
+	base := report(
+		row("BenchmarkFig3", 100, 16_000_000, 47_380, 500, 1),
+		row("BenchmarkPar", 100, 1_000_000, 200, 300_000, 15),
+		row("BenchmarkZero", 100, 0, 0, 0, 0),
+		row("BenchmarkGone", 100, 0, 0, 0, 0),
+	)
+	for _, tc := range []struct {
+		name    string
+		cur     *Report
+		failed  []string
+		refused string // the refusal's substring, "" when compared
+		lines   []string
+	}{
+		{
+			name: "identical",
+			cur: report(row("BenchmarkFig3", 100, 16_000_000, 47_380, 0, 0), row("BenchmarkPar", 100, 1_000_000, 200, 0, 0),
+				row("BenchmarkZero", 100, 0, 0, 0, 0), row("BenchmarkGone", 100, 0, 0, 0, 0)),
+		},
+		{
+			name: "within a tenth of the median and twice the spread, slower and leaner",
+			cur: report(row("BenchmarkFig3", 900, 17_600_000, 52_118, 0, 0), row("BenchmarkPar", 50, 1_600_000, 230, 0, 0),
+				row("BenchmarkZero", 100, 0, 0, 0, 0), row("BenchmarkGone", 100, 0, 0, 0, 0)),
+			lines: []string{"ns/op x9.00", "ns/op x0.50"},
+		},
+		{
+			name: "allocs/op past the allowance",
+			cur: report(row("BenchmarkFig3", 100, 16_000_000, 52_119, 0, 0), row("BenchmarkPar", 100, 1_000_000, 231, 0, 0),
+				row("BenchmarkZero", 100, 0, 1, 0, 0), row("BenchmarkGone", 100, 0, 0, 0, 0)),
+			failed: []string{"intrawarp BenchmarkFig3", "intrawarp BenchmarkPar", "intrawarp BenchmarkZero"},
+		},
+		{
+			name: "B/op past the allowance",
+			cur: report(row("BenchmarkFig3", 100, 17_600_001, 47_380, 0, 0), row("BenchmarkPar", 100, 1_600_001, 200, 0, 0),
+				row("BenchmarkZero", 100, 1, 0, 0, 0), row("BenchmarkGone", 100, 0, 0, 0, 0)),
+			failed: []string{"intrawarp BenchmarkFig3", "intrawarp BenchmarkPar", "intrawarp BenchmarkZero"},
+		},
+		{
+			name:  "rows missing on either side",
+			cur:   report(row("BenchmarkFig3", 100, 16_000_000, 47_380, 0, 0), row("BenchmarkNew", 100, 1<<20, 1<<10, 0, 0)),
+			lines: []string{"new      intrawarp BenchmarkNew", "missing  intrawarp BenchmarkPar", "missing  intrawarp BenchmarkGone"},
+		},
+		{
+			name:    "another Go version",
+			cur:     &Report{GoVersion: "go1.25.0", GOMAXPROCS: 2},
+			refused: "go1.25.0",
+		},
+		{
+			name:    "another GOMAXPROCS",
+			cur:     &Report{GoVersion: "go1.24.0", GOMAXPROCS: 4},
+			refused: "GOMAXPROCS 2",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			failed, err := compare(base, tc.cur, &out)
+			if tc.refused != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.refused) {
+					t.Fatalf("error %v, want a refusal naming %q", err, tc.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(failed, "; ") != strings.Join(tc.failed, "; ") {
+				t.Errorf("failed rows %q, want %q\n%s", failed, tc.failed, out.String())
+			}
+			for _, l := range tc.lines {
+				if !strings.Contains(out.String(), l) {
+					t.Errorf("output lacks %q:\n%s", l, out.String())
+				}
+			}
+		})
 	}
 }

@@ -56,7 +56,7 @@ type decoded struct {
 	group int // lanes the datapath retires per cycle for this datatype
 	pipe  isa.Pipe
 	run   laneLoop // nil unless class is classLanes or classSend
-	op    *laneOp  // the per-lane operation of an ALU or CMP run
+	op    *laneOp  // the operation an op-call ALU or CMP loop calls per lane
 
 	dst operand
 	src [3]operand

@@ -56,8 +56,9 @@ type laneOp struct {
 }
 
 // laneLoopFor returns the lane loop of an ALU, CMP or SEL instruction
-// and the per-lane operation it applies (nil for SEL), or a nil loop
-// when the opcode, condition or datatype has none.
+// and the per-lane operation it applies (nil for SEL and for a loop
+// that writes its operation inline), or a nil loop when the opcode,
+// condition or datatype has none.
 func laneLoopFor(in *isa.Instruction) (laneLoop, *laneOp) {
 	if in.DType > isa.U16 {
 		return nil, nil
@@ -68,12 +69,18 @@ func laneLoopFor(in *isa.Instruction) (laneLoop, *laneOp) {
 		if in.Cond > isa.CmpGE {
 			return nil, nil
 		}
+		if f := cmpInline[in.DType]; f != nil {
+			return f, nil
+		}
 		return cmpLoops[size], &cmpOps[in.DType]
 	case isa.OpSel:
 		return selLoops[size], nil
 	}
 	if int(in.Op) >= len(aluOps) {
 		return nil, nil
+	}
+	if f := aluInline[in.Op][in.DType]; f != nil {
+		return f, nil
 	}
 	op := &aluOps[in.Op][in.DType]
 	if op.alu16 == nil && op.alu32 == nil && op.alu64 == nil {
@@ -84,8 +91,23 @@ func laneLoopFor(in *isa.Instruction) (laneLoop, *laneOp) {
 
 // Lane-loop tables, built once: the loops by element size and SEND op,
 // the ALU operations by (opcode, datatype) and the CMP comparisons by
-// datatype. A nil entry has no lane loop.
+// datatype. A nil entry has no lane loop. aluInline and cmpInline hold
+// the loops that write their operation inline, for the pairs that make
+// up most executed lane instructions; every other pair runs the loop of
+// its element size, which calls its operation once per lane.
 var (
+	aluInline = [isa.OpPow + 1][isa.U16 + 1]laneLoop{
+		isa.OpMov: {isa.F32: mov4, isa.S32: mov4, isa.U32: mov4},
+		isa.OpAnd: {isa.F32: and4, isa.S32: and4, isa.U32: and4},
+		isa.OpXor: {isa.F32: xor4, isa.S32: xor4, isa.U32: xor4},
+		isa.OpShl: {isa.F32: shl4, isa.S32: shl4, isa.U32: shl4},
+		isa.OpShr: {isa.F32: shr4, isa.S32: shr4, isa.U32: shr4},
+		isa.OpAdd: {isa.F32: addF32, isa.S32: addI32, isa.U32: addI32},
+		isa.OpSub: {isa.F32: subF32},
+		isa.OpMul: {isa.F32: mulF32, isa.S32: mulI32, isa.U32: mulI32},
+		isa.OpMad: {isa.F32: madF32, isa.S32: madI32, isa.U32: madI32},
+	}
+	cmpInline = [isa.U16 + 1]laneLoop{isa.F32: cmpF32, isa.U32: cmpU32}
 	aluLoops  = [9]laneLoop{2: alu2, 4: alu4, 8: alu8}
 	cmpLoops  = [9]laneLoop{2: cmp2, 4: cmp4, 8: cmp8}
 	selLoops  = [9]laneLoop{2: sel2, 4: sel4, 8: sel8}
@@ -379,6 +401,124 @@ func alu8(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
 	}
 }
 
+// Inline ALU loops: each applies one 4-byte operation written out in
+// the loop, so an enabled lane costs its loads, the operation and its
+// store, with no call. Move, logic and logical shifts ignore the
+// datatype beyond its size, and S32 and U32 add, mul and mad give the
+// same bits, so those pairs share a loop. Each computes what the
+// matching op32 function does.
+
+func mov4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, w := t.src(&d.src[0]), t.dst(&d.dst)
+	xs, ws := d.src[0].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:]))
+	}
+}
+
+func and4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])&le.Uint32(y[l*ys:]))
+	}
+}
+
+func xor4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])^le.Uint32(y[l*ys:]))
+	}
+}
+
+func shl4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])<<(le.Uint32(y[l*ys:])&63))
+	}
+}
+
+func shr4(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])>>(le.Uint32(y[l*ys:])&63))
+	}
+}
+
+func addI32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])+le.Uint32(y[l*ys:]))
+	}
+}
+
+func mulI32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])*le.Uint32(y[l*ys:]))
+	}
+}
+
+func madI32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+	xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], le.Uint32(x[l*xs:])*le.Uint32(y[l*ys:])+le.Uint32(z[l*zs:]))
+	}
+}
+
+func addF32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], bits32(fl32(le.Uint32(x[l*xs:]))+fl32(le.Uint32(y[l*ys:]))))
+	}
+}
+
+func subF32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], bits32(fl32(le.Uint32(x[l*xs:]))-fl32(le.Uint32(y[l*ys:]))))
+	}
+}
+
+func mulF32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, w := t.src(&d.src[0]), t.src(&d.src[1]), t.dst(&d.dst)
+	xs, ys, ws := d.src[0].stride, d.src[1].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		le.PutUint32(w[l*ws:], bits32(fl32(le.Uint32(x[l*xs:]))*fl32(le.Uint32(y[l*ys:]))))
+	}
+}
+
+// madF32 rounds the product to float32 before the add, as op32's F32
+// mad does.
+func madF32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	x, y, z, w := t.src(&d.src[0]), t.src(&d.src[1]), t.src(&d.src[2]), t.dst(&d.dst)
+	xs, ys, zs, ws := d.src[0].stride, d.src[1].stride, d.src[2].stride, d.dst.stride
+	for ; em != 0; em &= em - 1 {
+		l := bits.TrailingZeros32(em)
+		a, b, c := fl32(le.Uint32(x[l*xs:])), fl32(le.Uint32(y[l*ys:])), fl32(le.Uint32(z[l*zs:]))
+		le.PutUint32(w[l*ws:], bits32(float32(a*b)+c))
+	}
+}
+
 // holds evaluates condition c from the lane's less-than and equal
 // outcomes.
 func holds(c isa.CondMod, lt, eq bool) bool {
@@ -460,6 +600,39 @@ func cmp8(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
 		l := bits.TrailingZeros32(v)
 		lt, eq := f(le.Uint64(x[l*xs:]), le.Uint64(y[l*ys:]))
 		if tab[b2i(lt)<<1|b2i(eq)] {
+			set |= 1 << l
+		}
+	}
+	t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
+}
+
+// Inline CMP loops write the comparison of one 4-byte datatype in the
+// loop and keep the decoded condition table.
+
+func cmpU32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	tab := &d.cond
+	x, y := t.src(&d.src[0]), t.src(&d.src[1])
+	xs, ys := d.src[0].stride, d.src[1].stride
+	var set uint32
+	for v := em; v != 0; v &= v - 1 {
+		l := bits.TrailingZeros32(v)
+		a, b := le.Uint32(x[l*xs:]), le.Uint32(y[l*ys:])
+		if tab[b2i(a < b)<<1|b2i(a == b)] {
+			set |= 1 << l
+		}
+	}
+	t.Flags[d.in.Flag] = t.Flags[d.in.Flag]&^em | set
+}
+
+func cmpF32(t *Thread, d *decoded, em uint32, _ *memory.Flat) {
+	tab := &d.cond
+	x, y := t.src(&d.src[0]), t.src(&d.src[1])
+	xs, ys := d.src[0].stride, d.src[1].stride
+	var set uint32
+	for v := em; v != 0; v &= v - 1 {
+		l := bits.TrailingZeros32(v)
+		a, b := fl32(le.Uint32(x[l*xs:])), fl32(le.Uint32(y[l*ys:]))
+		if tab[b2i(a < b)<<1|b2i(a == b)] {
 			set |= 1 << l
 		}
 	}

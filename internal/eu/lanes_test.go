@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -336,23 +338,109 @@ func FuzzLaneLoop(f *testing.F) {
 	})
 }
 
+// inlinePairs lists the (op, datatype) pairs whose lane loop writes
+// the operation inline, with that loop. It is written out rather than
+// read from the decode tables, so an edit that drops a pair back to the
+// op-call loop fails TestInlineLaneLoops.
+var inlinePairs = []struct {
+	op   isa.Opcode
+	dt   isa.DataType
+	loop laneLoop
+}{
+	{isa.OpMov, isa.F32, mov4}, {isa.OpMov, isa.S32, mov4}, {isa.OpMov, isa.U32, mov4},
+	{isa.OpAnd, isa.F32, and4}, {isa.OpAnd, isa.S32, and4}, {isa.OpAnd, isa.U32, and4},
+	{isa.OpXor, isa.F32, xor4}, {isa.OpXor, isa.S32, xor4}, {isa.OpXor, isa.U32, xor4},
+	{isa.OpShl, isa.F32, shl4}, {isa.OpShl, isa.S32, shl4}, {isa.OpShl, isa.U32, shl4},
+	{isa.OpShr, isa.F32, shr4}, {isa.OpShr, isa.S32, shr4}, {isa.OpShr, isa.U32, shr4},
+	{isa.OpAdd, isa.S32, addI32}, {isa.OpAdd, isa.U32, addI32}, {isa.OpAdd, isa.F32, addF32},
+	{isa.OpSub, isa.F32, subF32},
+	{isa.OpMul, isa.S32, mulI32}, {isa.OpMul, isa.U32, mulI32}, {isa.OpMul, isa.F32, mulF32},
+	{isa.OpMad, isa.S32, madI32}, {isa.OpMad, isa.U32, madI32}, {isa.OpMad, isa.F32, madF32},
+	{isa.OpCmp, isa.U32, cmpU32}, {isa.OpCmp, isa.F32, cmpF32},
+}
+
+// TestInlineLaneLoops checks that each pair of inlinePairs decodes to
+// its inline loop, for a CMP under every condition, and that a pair
+// outside the list still decodes to the loop of its element size.
+func TestInlineLaneLoops(t *testing.T) {
+	decodeRun := func(in isa.Instruction) uintptr {
+		t.Helper()
+		in.Width, in.Dst, in.Src0, in.Src1 = isa.SIMD16, isa.GRF(60), isa.GRF(20), isa.GRF(30)
+		if in.Op == isa.OpCmp {
+			in.Dst = isa.Null
+		}
+		p, err := Decode(&isa.Kernel{Name: "inline", Program: isa.Program{in}})
+		if err != nil {
+			t.Fatalf("%s: %v", in.String(), err)
+		}
+		return reflect.ValueOf(p.code[0].run).Pointer()
+	}
+	for _, c := range inlinePairs {
+		want := reflect.ValueOf(c.loop).Pointer()
+		conds := []isa.CondMod{isa.CmpEQ}
+		if c.op == isa.OpCmp {
+			conds = []isa.CondMod{isa.CmpEQ, isa.CmpNE, isa.CmpLT, isa.CmpLE, isa.CmpGT, isa.CmpGE}
+		}
+		for _, cond := range conds {
+			if got := decodeRun(isa.Instruction{Op: c.op, DType: c.dt, Cond: cond}); got != want {
+				t.Errorf("%s.%s (cond %s) decodes to %s, want %s", c.op, c.dt, cond,
+					runtime.FuncForPC(got).Name(), runtime.FuncForPC(want).Name())
+			}
+		}
+	}
+	for _, c := range []struct {
+		in   isa.Instruction
+		loop laneLoop
+	}{
+		{isa.Instruction{Op: isa.OpMin, DType: isa.F32}, alu4},
+		{isa.Instruction{Op: isa.OpAdd, DType: isa.U16}, alu2},
+		{isa.Instruction{Op: isa.OpAdd, DType: isa.F64}, alu8},
+		{isa.Instruction{Op: isa.OpCmp, DType: isa.S32, Cond: isa.CmpLT}, cmp4},
+	} {
+		if got, want := decodeRun(c.in), reflect.ValueOf(c.loop).Pointer(); got != want {
+			t.Errorf("%s.%s decodes to %s, want the op-call loop %s", c.in.Op, c.in.DType,
+				runtime.FuncForPC(got).Name(), runtime.FuncForPC(want).Name())
+		}
+	}
+}
+
 // BenchmarkLaneLoop times the decoded lane loop of one SIMD16
 // instruction, alone, at a full and a half (alternate lanes) execution
 // mask, and reports ns per enabled lane. A lane costs its loads, its
 // operation and its store: a loop whose operand accesses stay out of
-// line shows here at nearly twice the ns/lane. One op is 1,024 runs of
-// the loop, so even make bench's one-iteration smoke pass times a span
-// the clock resolves.
+// line shows here at nearly twice the ns/lane. There is a row per
+// inline loop, SEL's loop, and min.f32, which calls its operation once
+// per lane, as the control. One op is 1,024 runs of the loop, so even
+// make bench's one-iteration smoke pass times a span the clock
+// resolves.
 func BenchmarkLaneLoop(b *testing.B) {
 	const reps = 1024
 	src := [3]isa.Operand{isa.GRF(20), isa.GRF(30), isa.GRF(40)}
+	alu := func(op isa.Opcode, dt isa.DataType) isa.Instruction {
+		return isa.Instruction{Op: op, DType: dt, Dst: isa.GRF(60), Src0: src[0], Src1: src[1], Src2: src[2]}
+	}
+	cmp := func(dt isa.DataType) isa.Instruction {
+		return isa.Instruction{Op: isa.OpCmp, DType: dt, Cond: isa.CmpLT, Flag: isa.F0, Src0: src[0], Src1: src[1]}
+	}
 	for _, c := range []struct {
 		name string
 		in   isa.Instruction
 	}{
-		{"add.u32", isa.Instruction{Op: isa.OpAdd, DType: isa.U32, Dst: isa.GRF(60), Src0: src[0], Src1: src[1]}},
-		{"mad.f32", isa.Instruction{Op: isa.OpMad, DType: isa.F32, Dst: isa.GRF(60), Src0: src[0], Src1: src[1], Src2: src[2]}},
-		{"cmp.lt.f32", isa.Instruction{Op: isa.OpCmp, DType: isa.F32, Cond: isa.CmpLT, Flag: isa.F0, Src0: src[0], Src1: src[1]}},
+		{"mov.u32", alu(isa.OpMov, isa.U32)},
+		{"and.u32", alu(isa.OpAnd, isa.U32)},
+		{"xor.u32", alu(isa.OpXor, isa.U32)},
+		{"shl.u32", alu(isa.OpShl, isa.U32)},
+		{"shr.u32", alu(isa.OpShr, isa.U32)},
+		{"add.u32", alu(isa.OpAdd, isa.U32)},
+		{"mul.u32", alu(isa.OpMul, isa.U32)},
+		{"mad.u32", alu(isa.OpMad, isa.U32)},
+		{"add.f32", alu(isa.OpAdd, isa.F32)},
+		{"sub.f32", alu(isa.OpSub, isa.F32)},
+		{"mul.f32", alu(isa.OpMul, isa.F32)},
+		{"mad.f32", alu(isa.OpMad, isa.F32)},
+		{"cmp.lt.u32", cmp(isa.U32)},
+		{"cmp.lt.f32", cmp(isa.F32)},
+		{"min.f32", alu(isa.OpMin, isa.F32)},
 		{"sel.u32", isa.Instruction{Op: isa.OpSel, DType: isa.U32, Flag: isa.F0, Dst: isa.GRF(60), Src0: src[0], Src1: src[1]}},
 	} {
 		for _, m := range []struct {

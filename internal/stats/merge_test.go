@@ -143,8 +143,9 @@ func costed(stream []synthInstr) *Run {
 }
 
 // TestPendingTableBounded records more distinct SIMD32 signatures than
-// MaxPending: the table never holds more than the bound, and the
-// self-flushes it forces lose and double-count nothing.
+// MaxPending: the table never holds more than the bound, in no more
+// than twice as many slots, and the self-flushes it forces lose and
+// double-count nothing.
 func TestPendingTableBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	stream := make([]synthInstr, 3*MaxPending+123)
@@ -157,8 +158,9 @@ func TestPendingTableBounded(t *testing.T) {
 	r := NewRun("ref", 16)
 	for i, in := range stream {
 		r.RecordInstr(in.width, in.group, in.m)
-		if len(r.pending) > MaxPending {
-			t.Fatalf("record %d: %d pending signatures, bound %d", i, len(r.pending), MaxPending)
+		if r.pending.used > MaxPending || len(r.pending.slots) > 2*MaxPending {
+			t.Fatalf("record %d: %d pending signatures in %d slots, bound %d in %d",
+				i, r.pending.used, len(r.pending.slots), MaxPending, 2*MaxPending)
 		}
 	}
 	r.Flush()
@@ -228,12 +230,14 @@ func TestRepeatSignaturesFold(t *testing.T) {
 		t.Fatal("the shard holds no repeat count before Merge: the fast path never ran")
 	}
 	r.Merge(shard)
-	if shard.heldN != 0 || shard.held != 0 || shard.pending != nil {
-		t.Fatalf("merged shard keeps accounting state: held %#x×%d, pending %v", shard.held, shard.heldN, shard.pending != nil)
+	if shard.heldN != 0 || shard.held != 0 || shard.pending.slots != nil || shard.pending.used != 0 {
+		t.Fatalf("merged shard keeps accounting state: held %#x×%d, %d pending in %d slots",
+			shard.held, shard.heldN, shard.pending.used, len(shard.pending.slots))
 	}
 	r.Flush()
-	if r.heldN != 0 || r.held != 0 || r.pending != nil {
-		t.Fatalf("flushed run keeps accounting state: held %#x×%d, pending %v", r.held, r.heldN, r.pending != nil)
+	if r.heldN != 0 || r.held != 0 || r.pending.slots != nil || r.pending.used != 0 {
+		t.Fatalf("flushed run keeps accounting state: held %#x×%d, %d pending in %d slots",
+			r.held, r.heldN, r.pending.used, len(r.pending.slots))
 	}
 	if want := costed(stream); !r.MaskCountsEqual(want) {
 		t.Fatalf("held repeats lost or double-counted:\ngot:\n%s\nwant:\n%s", r.Summary(), want.Summary())
@@ -250,5 +254,71 @@ func TestRepeatSignaturesFold(t *testing.T) {
 	b.Flush()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("flushed runs of one multiset differ by recording order:\n%s\n%s", a.Summary(), b.Summary())
+	}
+}
+
+// mixedStream builds a seeded stream for checking the signature table
+// against per-instruction costing: widths 1–32 (mostly the SIMD widths),
+// groups 1, 2, 4 and 8, long runs of one repeated instruction, and more
+// than three times MaxPending distinct SIMD32 masks, so every third of
+// the stream forces a self-flush.
+func mixedStream(seed int64) []synthInstr {
+	rng := rand.New(rand.NewSource(seed))
+	simd := []int{1, 4, 8, 16, 32}
+	groups := []int{1, 2, 4, 8}
+	seen := map[mask.Mask]bool{}
+	var out []synthInstr
+	for len(seen) < 3*MaxPending+MaxPending/2 {
+		in := synthInstr{width: 32, group: groups[rng.Intn(len(groups))], m: mask.Mask(rng.Uint32())}
+		switch rng.Intn(4) {
+		case 0:
+			in.width = 1 + rng.Intn(32)
+		case 1:
+			in.width = simd[rng.Intn(len(simd))]
+			if rng.Intn(2) == 0 {
+				in.m = mask.Full(in.width)
+			}
+		}
+		if in.width == 32 {
+			seen[in.m] = true
+		}
+		n := 1
+		if rng.Intn(16) == 0 {
+			n += rng.Intn(300)
+		}
+		for ; n > 0; n-- {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// TestRecordInstrMatchesPerInstructionCost records seeded mixed streams
+// through RecordInstr, the middle third into a shard merged in before
+// the last third, and checks every mask-derived counter and Hist bucket
+// against costing each instruction on the spot with compaction.CostAll.
+// Each third holds more than MaxPending distinct signatures, so the
+// check covers probes past colliding slots, every table growth, and the
+// self-flush, besides the held-repeat fast path and Merge's flush.
+func TestRecordInstrMatchesPerInstructionCost(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		stream := mixedStream(seed)
+		a, b := len(stream)/3, 2*len(stream)/3
+		r, shard := NewRun("ref", 16), NewRun("ref", 16)
+		for _, in := range stream[:a] {
+			r.RecordInstr(in.width, in.group, in.m)
+		}
+		for _, in := range stream[a:b] {
+			shard.RecordInstr(in.width, in.group, in.m)
+		}
+		r.Merge(shard)
+		for _, in := range stream[b:] {
+			r.RecordInstr(in.width, in.group, in.m)
+		}
+		r.Flush()
+		if want := costed(stream); !r.MaskCountsEqual(want) {
+			t.Fatalf("seed %d, %d instructions: accounting diverges from per-instruction costing:\ngot:\n%s\nwant:\n%s",
+				seed, len(stream), r.Summary(), want.Summary())
+		}
 	}
 }

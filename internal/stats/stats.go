@@ -7,6 +7,7 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -90,8 +91,8 @@ type Run struct {
 	// truncated mask) until Flush costs each distinct one. held is the
 	// signature of the latest run of identical RecordInstr calls and
 	// heldN its length, not yet added to pending: consecutive repeats,
-	// most calls on real kernels, count without a map access.
-	pending map[uint64]int64
+	// most calls on real kernels, count without a table access.
+	pending sigTable
 	held    uint64
 	heldN   int64
 
@@ -197,15 +198,12 @@ func (r *Run) fold() {
 	if r.heldN == 0 {
 		return
 	}
-	if r.pending == nil {
-		r.pending = make(map[uint64]int64)
-	}
-	r.pending[r.held] += r.heldN
+	r.pending.add(r.held, r.heldN)
 	r.held, r.heldN = 0, 0
-	if len(r.pending) >= MaxPending {
+	if r.pending.used >= MaxPending {
 		// Keep the grown table: a stream this varied is likely to refill it.
 		r.cost()
-		clear(r.pending)
+		r.pending.reset()
 	}
 }
 
@@ -216,18 +214,100 @@ func (r *Run) fold() {
 // Run to its caller flushes it first; Flush on a run with nothing
 // pending does nothing.
 func (r *Run) Flush() {
-	if r.pending == nil && r.heldN == 0 {
+	if r.pending.slots == nil && r.heldN == 0 {
 		return
 	}
 	r.guard.assertOwner()
 	r.fold()
 	r.cost()
-	r.pending = nil
+	r.pending = sigTable{}
+}
+
+// sigTable counts instructions by signature in open addressing: a
+// power-of-two slice of slots, each signature's probe starting at the
+// top bits of its multiplicative hash and stepping linearly, the slice
+// doubled rather than let signatures fill more than half of it. A slot
+// with a zero count is empty; every stored count is at least one. The
+// zero value is an empty table.
+type sigTable struct {
+	slots []sigSlot
+	used  int  // slots holding a signature
+	shift uint // 64 - log2(len(slots))
+}
+
+type sigSlot struct {
+	sig uint64
+	n   int64
+}
+
+const (
+	// sigHash is the multiplier of the slot hash: 2^64 divided by the
+	// golden ratio, which spreads the packed signatures' low mask bits
+	// into the top bits the index takes.
+	sigHash = 0x9E3779B97F4A7C15
+	// minSigSlots is the first table's size. A table holds a few dozen
+	// signatures on average (25 per flush over plain functional runs,
+	// 80 over sweep groups), so a small first table costs a short run
+	// little and grows two or three times for an average one.
+	minSigSlots = 16
+)
+
+// add adds n (at least one) to sig's count. A new signature that would
+// fill more than half the table doubles it first, so a table holding
+// MaxPending signatures has 2×MaxPending slots.
+func (t *sigTable) add(sig uint64, n int64) {
+	if t.slots == nil {
+		t.grow()
+	}
+	s := t.slot(sig)
+	if s.n == 0 {
+		if 2*(t.used+1) > len(t.slots) {
+			t.grow()
+			s = t.slot(sig)
+		}
+		s.sig = sig
+		t.used++
+	}
+	s.n += n
+}
+
+// slot returns the slot holding sig, or the empty slot where sig goes.
+// The table always has an empty slot, so the probe ends.
+func (t *sigTable) slot(sig uint64) *sigSlot {
+	last := len(t.slots) - 1
+	for i := int(sig * sigHash >> t.shift); ; i = (i + 1) & last {
+		if s := &t.slots[i]; s.n == 0 || s.sig == sig {
+			return s
+		}
+	}
+}
+
+// grow doubles the table, or makes the first one, and moves every
+// signature to its slot in the new one.
+func (t *sigTable) grow() {
+	old := t.slots
+	t.slots = make([]sigSlot, max(2*len(old), minSigSlots))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	for _, s := range old {
+		if s.n != 0 {
+			*t.slot(s.sig) = s
+		}
+	}
+}
+
+// reset empties the table and keeps its slots.
+func (t *sigTable) reset() {
+	clear(t.slots)
+	t.used = 0
 }
 
 // cost folds the pending signature counts into the exported counters.
 func (r *Run) cost() {
-	for sig, n := range r.pending {
+	for _, s := range r.pending.slots {
+		if s.n == 0 {
+			continue
+		}
+		sig, n := s.sig, s.n
 		width, group, m := int(sig>>48), int(uint16(sig>>32)), mask.Mask(sig)
 		pop := m.PopCount()
 		r.Instructions += n
