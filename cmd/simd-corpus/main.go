@@ -32,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/kgen"
 	"intrawarp/internal/oracle"
 	"intrawarp/internal/stats"
@@ -47,14 +46,9 @@ func main() {
 		verify    = flag.Bool("verify", false, "run every kernel through the full differential pipeline (all engines x all policies)")
 		emitWorst = flag.String("emit-worst", "", "on divergence, write the minimized repro test to this file")
 		workers   = flag.Int("workers", 0, "parallel-engine pool size during -verify (<2 selects 4)")
-		engine    = flag.String("engine", "event", "timed core during -verify: event or tick")
 	)
 	flag.Parse()
 
-	eng, err := gpu.ParseEngine(*engine)
-	if err != nil {
-		fatal("simd-corpus: %v", err)
-	}
 	profiles, err := selectProfiles(*profile)
 	if err != nil {
 		fatal("simd-corpus: %v", err)
@@ -104,7 +98,6 @@ func main() {
 			Oracle: oracle.Options{
 				Timed:   true,
 				Workers: *workers,
-				Engine:  eng,
 				Observe: func(_ *workloads.Spec, serial *stats.Run) { instrs += serial.Instructions },
 			},
 		})

@@ -37,7 +37,6 @@ func main() {
 		compare    = flag.Bool("compare", false, "run all seven policies and compare timing")
 		jsonOut    = flag.Bool("json", false, "emit the run report as JSON")
 		timeline   = flag.String("timeline", "", "write a Chrome-trace/Perfetto timeline to this file")
-		engineStr  = flag.String("engine", "event", "timed core: event (skip-to-next-wakeup) or tick (per-cycle)")
 	)
 	flag.Parse()
 
@@ -58,11 +57,6 @@ func main() {
 		os.Exit(2)
 	}
 	policy, err := intrawarp.ParsePolicy(*policyStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simd-sim:", err)
-		os.Exit(2)
-	}
-	engine, err := intrawarp.ParseEngine(*engineStr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simd-sim:", err)
 		os.Exit(2)
@@ -96,7 +90,6 @@ func main() {
 	mkGPU := func(p intrawarp.Policy) *intrawarp.GPU {
 		opts := []intrawarp.Option{
 			intrawarp.WithPolicy(p),
-			intrawarp.WithEngine(engine),
 			intrawarp.WithDCBandwidth(*dc),
 			intrawarp.WithWorkers(*workers),
 		}

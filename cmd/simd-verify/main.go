@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"intrawarp/internal/gpu"
 	"intrawarp/internal/oracle"
 	"intrawarp/internal/workloads"
 )
@@ -34,16 +33,11 @@ func main() {
 		names   = flag.String("workloads", "", "comma-separated workload subset (default: all)")
 		timed   = flag.Bool("timed", false, "also cross-check the cycle-level engine under every policy")
 		workers = flag.Int("workers", 0, "parallel-engine pool size (<2 selects 4)")
-		engine  = flag.String("engine", "event", "timed core to verify: event or tick")
 		verbose = flag.Bool("v", false, "print one line per verified workload")
 	)
 	flag.Parse()
 
-	eng, err := gpu.ParseEngine(*engine)
-	if err != nil {
-		fatal("simd-verify: %v", err)
-	}
-	opts := oracle.Options{Quick: *quick, Timed: *timed, Workers: *workers, Engine: eng}
+	opts := oracle.Options{Quick: *quick, Timed: *timed, Workers: *workers}
 	if *verbose {
 		opts.Progress = os.Stdout
 	}

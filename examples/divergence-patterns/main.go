@@ -35,7 +35,7 @@ func main() {
 	s := intrawarp.ComputeSchedule(0xAAAA, 16, 4)
 	fmt.Print(s)
 	fmt.Printf("(%d of %d lane slots routed through the crossbar; '*' marks swizzles)\n",
-		s.SwizzleCount(), len(s.Cycles)*4)
+		s.Swizzles(), len(s.Cycles)*4)
 
 	fmt.Println()
 	fmt.Println("Wider datatypes retire fewer lanes per cycle, so compaction has more")

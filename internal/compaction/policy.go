@@ -237,65 +237,18 @@ func CostAll(m mask.Mask, width, group int) [NumPolicies]int {
 	return out
 }
 
-// GroupFetches returns which aligned groups require an operand fetch and
-// writeback under the policy. Baseline and IvyBridge fetch every group they
-// execute; BCC fetches only non-empty groups (the half-register datapath of
-// paper Fig. 5b); SCC performs a single full-width fetch into the operand
-// latch, so it reports every group as fetched (no fetch-bandwidth savings,
-// paper §4.2). Melding fetches like BCC — this instruction's operands
-// cover its own active quads, the fused twin fetches its own. Resize
-// fetches every group of every issued sub-warp and nothing of the dead
-// ones; ITS, like the baseline, fetches everything.
-func (p Policy) GroupFetches(m mask.Mask, width, group int) []bool {
-	n := mask.QuadCount(width, group)
-	out := make([]bool, n)
-	switch p {
-	case BCC, Melding:
-		for q := 0; q < n; q++ {
-			out[q] = m.Quad(q, group) != 0
-		}
-	case Resize:
-		m := m.Trunc(width)
-		eff := EffectiveSubWarp(group, DefaultSubWarpWidth)
-		for start := 0; start < width; start += eff {
-			lanes := eff
-			if rem := width - start; rem < lanes {
-				lanes = rem
-			}
-			if (m>>uint(start))&mask.Full(lanes) != 0 {
-				q0 := start / group
-				for q := q0; q < q0+mask.QuadCount(lanes, group); q++ {
-					out[q] = true
-				}
-			}
-		}
-	case IvyBridge:
-		if width == ivbWidth && n >= 2 && m.UpperHalfOff(width) {
-			for q := 0; q < n/2; q++ {
-				out[q] = true
-			}
-		} else if width == ivbWidth && n >= 2 && m.LowerHalfOff(width) {
-			for q := n / 2; q < n; q++ {
-				out[q] = true
-			}
-		} else {
-			for q := 0; q < n; q++ {
-				out[q] = true
-			}
-		}
-	default:
-		for q := 0; q < n; q++ {
-			out[q] = true
-		}
-	}
-	return out
-}
-
 // GroupFetchCounts returns how many aligned groups require an operand
-// fetch under the policy and how many are suppressed — the tallies of
-// GroupFetches without materializing the per-group slice. The timed
-// engine's per-instruction energy accounting uses this closed form;
-// equality with GroupFetches is property-tested.
+// fetch and writeback under the policy and how many are suppressed.
+// Baseline and IvyBridge fetch every group they execute; BCC fetches only
+// non-empty groups (the half-register datapath of paper Fig. 5b); SCC
+// performs a single full-width fetch into the operand latch, so it
+// fetches every group (no fetch-bandwidth savings, paper §4.2). Melding
+// fetches like BCC — this instruction's operands cover its own active
+// quads, the fused twin fetches its own. Resize fetches every group of
+// every issued sub-warp and nothing of the dead ones; ITS, like the
+// baseline, fetches everything. The timed engine's per-instruction
+// energy accounting uses these counts; the oracle's FetchCounts is
+// their reference.
 func (p Policy) GroupFetchCounts(m mask.Mask, width, group int) (fetched, saved int) {
 	n := mask.QuadCount(width, group)
 	switch p {

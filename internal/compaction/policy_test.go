@@ -220,32 +220,6 @@ func TestCostAll(t *testing.T) {
 	}
 }
 
-// Property: GroupFetchCounts matches a tally of the GroupFetches slice
-// for every policy over random masks, widths, and groups.
-func TestGroupFetchCountsMatchesGroupFetches(t *testing.T) {
-	f := func(raw uint32, wsel, gsel, psel uint8) bool {
-		widths := []int{4, 8, 16, 32}
-		groups := []int{2, 4, 8}
-		w := widths[int(wsel)%len(widths)]
-		g := groups[int(gsel)%len(groups)]
-		p := Policies[int(psel)%NumPolicies]
-		m := mask.Mask(raw)
-		fetched, saved := p.GroupFetchCounts(m, w, g)
-		wantF, wantS := 0, 0
-		for _, f := range p.GroupFetches(m, w, g) {
-			if f {
-				wantF++
-			} else {
-				wantS++
-			}
-		}
-		return fetched == wantF && saved == wantS
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGroupFetchCountsZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		for _, p := range Policies {
@@ -257,35 +231,21 @@ func TestGroupFetchCountsZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestGroupFetches(t *testing.T) {
-	// BCC skips operand fetch for empty quads.
-	got := BCC.GroupFetches(0xF0F0, 16, 4)
-	want := []bool{false, true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("bcc fetches[%d] = %v, want %v", i, got[i], want[i])
+func TestGroupFetchCounts(t *testing.T) {
+	for _, c := range []struct {
+		p              Policy
+		m              mask.Mask
+		fetched, saved int
+	}{
+		{BCC, 0xF0F0, 2, 2},       // BCC skips operand fetch for empty quads
+		{IvyBridge, 0x00FF, 2, 2}, // IVB half-off fetches only the active half
+		{IvyBridge, 0xFF00, 2, 2},
+		{SCC, 0x0001, 4, 0},      // SCC fetches the full operand into the 512b latch
+		{Baseline, 0x0001, 4, 0}, // baseline fetches everything
+	} {
+		if f, s := c.p.GroupFetchCounts(c.m, 16, 4); f != c.fetched || s != c.saved {
+			t.Errorf("%s GroupFetchCounts(%#x) = %d/%d, want %d/%d", c.p, uint32(c.m), f, s, c.fetched, c.saved)
 		}
-	}
-	// Baseline fetches everything.
-	for i, f := range Baseline.GroupFetches(0x0001, 16, 4) {
-		if !f {
-			t.Errorf("baseline fetches[%d] = false", i)
-		}
-	}
-	// SCC fetches the full operand into the 512b latch.
-	for i, f := range SCC.GroupFetches(0x0001, 16, 4) {
-		if !f {
-			t.Errorf("scc fetches[%d] = false", i)
-		}
-	}
-	// IVB half-off fetches only the active half.
-	ivb := IvyBridge.GroupFetches(0x00FF, 16, 4)
-	if !ivb[0] || !ivb[1] || ivb[2] || ivb[3] {
-		t.Errorf("ivb fetches = %v, want [true true false false]", ivb)
-	}
-	ivbHi := IvyBridge.GroupFetches(0xFF00, 16, 4)
-	if ivbHi[0] || ivbHi[1] || !ivbHi[2] || !ivbHi[3] {
-		t.Errorf("ivb hi fetches = %v", ivbHi)
 	}
 }
 

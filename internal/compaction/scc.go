@@ -2,6 +2,7 @@ package compaction
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"intrawarp/internal/mask"
@@ -31,11 +32,6 @@ func (c CycleSetting) Swizzled(n int) bool {
 // Schedule is a complete SCC execution plan for one instruction: the
 // sequence of per-cycle crossbar settings computed by the control logic of
 // paper Fig. 6.
-//
-// Schedules returned by ScheduleFor are shared and immutable; callers must
-// not modify Cycles. Schedules reused via ComputeScheduleInto own their
-// backing storage and are valid until the next ComputeScheduleInto on the
-// same value.
 type Schedule struct {
 	Width  int
 	Group  int
@@ -46,50 +42,14 @@ type Schedule struct {
 	// ("skip empty quads, BCC-like. Done" in the paper's pseudo-code).
 	BCCOnly bool
 
-	// swizzles is the crossbar-slot count, tallied during construction so
-	// the timed engine's per-instruction energy accounting is a field read
-	// instead of a cycle walk. Swizzles() exposes it; SwizzleCount()
-	// recomputes it from the cycles for cross-checking.
+	// swizzles is the crossbar-slot count, tallied during construction.
 	swizzles int
-
-	// arena is the flat backing store the Cycles slices point into; it is
-	// reused across ComputeScheduleInto calls so steady-state schedule
-	// construction performs no heap allocation.
-	arena []LaneAssign
 }
 
-// Swizzles returns the number of crossbar-routed (cycle, lane) slots,
-// precomputed at construction. It always equals SwizzleCount().
+// Swizzles returns the number of (cycle, lane) slots whose operand is
+// routed through the crossbar from a different lane position, tallied
+// at construction. It always equals SwizzleCount of the schedule's mask.
 func (s *Schedule) Swizzles() int { return s.swizzles }
-
-// SwizzleCount returns the number of (cycle, lane) slots whose operand is
-// routed through the crossbar from a different lane position.
-func (s *Schedule) SwizzleCount() int {
-	n := 0
-	for _, c := range s.Cycles {
-		for ln := range c {
-			if c.Swizzled(ln) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Unswizzle returns, for compressed cycle c, the inverse permutation used
-// by the writeback stage: for each ALU lane n that is enabled, the
-// destination (quad, lane) the result must be written back to. This is by
-// construction the source assignment itself — the inverse permutation of
-// the operand swizzle.
-func (s *Schedule) Unswizzle(c int) []LaneAssign {
-	return s.UnswizzleInto(nil, c)
-}
-
-// UnswizzleInto is Unswizzle writing into dst's backing array (grown as
-// needed), so repeated writeback-permutation queries are allocation-free.
-func (s *Schedule) UnswizzleInto(dst []LaneAssign, c int) []LaneAssign {
-	return append(dst[:0], s.Cycles[c]...)
-}
 
 // String renders the schedule for debugging, one line per cycle.
 func (s *Schedule) String() string {
@@ -114,33 +74,40 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// SwizzleCount returns, in O(width) time and without building the full
-// schedule, the number of operands the Fig. 6 algorithm routes through
-// the crossbar for this mask: each ALU lane position serves its own
-// queue unswizzled once per cycle, so the swizzled remainder is
-// popcount − Σ_lanes min(queueLen, optimalCycles). Equality with
-// Schedule.SwizzleCount is property-tested.
+// SwizzleCount returns, without building the schedule, the number of
+// operands the Fig. 6 algorithm routes through the crossbar for this
+// mask. Each ALU lane position n serves its own queue unswizzled at most
+// once per cycle, and its queue holds the enabled lanes at positions
+// n, n+group, n+2·group, …, so the swizzled remainder is
+//
+//	popcount − Σ_n min(popcount(m & stride<<n), optimalCycles)
+//
+// with one bit of stride at every multiple of group: one popcount per
+// ALU lane position. It equals ComputeSchedule's Swizzles for every mask
+// (property-tested), and the timed EU charges it as each SCC
+// instruction's crossbar traffic.
 func SwizzleCount(m mask.Mask, width, group int) int {
-	m = m.Trunc(width)
-	opt := m.OptimalCycles(width, group)
-	if opt == 0 {
-		return 0
+	v := uint32(m.Trunc(width))
+	pop := bits.OnesCount32(v)
+	if group == 4 {
+		// The 32-bit datatypes' group, unrolled: the four lane
+		// positions' popcounts are independent of each other.
+		opt := (pop + 3) / 4
+		return pop - min(bits.OnesCount32(v&0x11111111), opt) -
+			min(bits.OnesCount32(v&0x22222222), opt) -
+			min(bits.OnesCount32(v&0x44444444), opt) -
+			min(bits.OnesCount32(v&0x88888888), opt)
 	}
-	quads := mask.QuadCount(width, group)
-	unswizzled := 0
+	opt := (pop + group - 1) / group
+	var stride uint32
+	for i := 0; i < 32; i += group {
+		stride |= 1 << uint(i)
+	}
+	swizzled := pop
 	for n := 0; n < group; n++ {
-		cnt := 0
-		for q := 0; q < quads; q++ {
-			if m.Quad(q, group).Lane(n) {
-				cnt++
-			}
-		}
-		if cnt > opt {
-			cnt = opt
-		}
-		unswizzled += cnt
+		swizzled -= min(bits.OnesCount32(v&(stride<<uint(n))), opt)
 	}
-	return m.PopCount() - unswizzled
+	return swizzled
 }
 
 // ComputeSchedule runs the SCC control algorithm of paper Fig. 6 for an
@@ -154,24 +121,28 @@ func SwizzleCount(m mask.Mask, width, group int) int {
 // ceil(popcount/group). Lanes with queue length above the optimal count
 // have "surplus" elements that must be swizzled into other lane positions;
 // lanes whose queue runs dry before the last cycle have free slots to
-// receive them. Unswizzled assignments are preferred, minimizing crossbar
-// activity.
+// receive them. An element stays in its own lane position whenever it
+// can, minimizing crossbar activity.
 func ComputeSchedule(m mask.Mask, width, group int) *Schedule {
 	s := new(Schedule)
-	ComputeScheduleInto(s, m, width, group)
+	s.build(m, width, group)
 	return s
 }
 
-// maxLanes bounds the scratch arrays of ComputeScheduleInto. A Mask holds
-// 32 lanes, so no instruction has more than 32 execution groups or more
-// than 32 lanes per group.
+// ScheduleFor is ComputeSchedule under the name perfbench/layers.go
+// times; nothing else calls it.
+func ScheduleFor(m mask.Mask, width, group int) *Schedule { return ComputeSchedule(m, width, group) }
+
+// maxLanes bounds the algorithm's stack arrays. A Mask holds 32 lanes, so
+// no instruction has more than 32 execution groups or more than 32 lanes
+// per group.
 const maxLanes = 32
 
-// ComputeScheduleInto is ComputeSchedule writing into s, reusing its
-// backing storage: steady-state schedule construction performs no heap
-// allocation. The algorithm's working state (per-lane quad queues,
-// surplus counters) lives on the stack. group must be at most 32.
-func ComputeScheduleInto(s *Schedule, m mask.Mask, width, group int) {
+// build is ComputeSchedule's body. It stays a separate function so that
+// ComputeSchedule is small enough to inline, and a caller that drops the
+// schedule keeps it on the stack. The algorithm's working state
+// (per-lane quad queues, surplus counters) lives on the stack too.
+func (s *Schedule) build(m mask.Mask, width, group int) {
 	if group < 1 || group > maxLanes {
 		panic(fmt.Sprintf("compaction: group size %d out of range [1,%d]", group, maxLanes))
 	}
@@ -185,21 +156,10 @@ func ComputeScheduleInto(s *Schedule, m mask.Mask, width, group int) {
 	}
 
 	s.Width, s.Group, s.Mask = width, group, m
-	s.BCCOnly, s.swizzles = false, 0
-	need := nCycles * group
-	if cap(s.arena) < need {
-		s.arena = make([]LaneAssign, need)
-	} else {
-		s.arena = s.arena[:need]
-		clear(s.arena)
-	}
-	if cap(s.Cycles) < nCycles {
-		s.Cycles = make([]CycleSetting, nCycles)
-	} else {
-		s.Cycles = s.Cycles[:nCycles]
-	}
-	for c := 0; c < nCycles; c++ {
-		s.Cycles[c] = s.arena[c*group : (c+1)*group]
+	lanes := make([]LaneAssign, nCycles*group)
+	s.Cycles = make([]CycleSetting, nCycles)
+	for c := range s.Cycles {
+		s.Cycles[c] = lanes[c*group : (c+1)*group]
 	}
 	if opt == 0 {
 		return

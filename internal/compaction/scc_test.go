@@ -1,6 +1,7 @@
 package compaction
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,8 +68,8 @@ func TestComputeScheduleBCCOnlyPath(t *testing.T) {
 	if !s.BCCOnly {
 		t.Fatal("0xF0F0 should take the BCC-only path")
 	}
-	if s.SwizzleCount() != 0 {
-		t.Fatalf("BCC-only schedule has %d swizzles", s.SwizzleCount())
+	if s.Swizzles() != 0 {
+		t.Fatalf("BCC-only schedule has %d swizzles", s.Swizzles())
 	}
 	verifySchedule(t, s)
 	// Quads appear in ascending order.
@@ -98,8 +99,8 @@ func TestComputeScheduleFig7Example(t *testing.T) {
 	}
 	// Four of the eight slots must be swizzled (surplus of 2 on lanes 1
 	// and 3 each).
-	if s.SwizzleCount() != 4 {
-		t.Errorf("swizzles = %d, want 4", s.SwizzleCount())
+	if s.Swizzles() != 4 {
+		t.Errorf("swizzles = %d, want 4", s.Swizzles())
 	}
 	// Lanes 1 and 3 keep unswizzled elements in both cycles (the
 	// algorithm minimizes intra-quad swizzles).
@@ -154,7 +155,7 @@ func TestComputeScheduleProperty(t *testing.T) {
 		if len(s.Cycles) != opt {
 			return false
 		}
-		if s.BCCOnly && s.SwizzleCount() != 0 {
+		if s.BCCOnly && s.Swizzles() != 0 {
 			return false
 		}
 		seen := map[[2]int8]bool{}
@@ -182,43 +183,61 @@ func TestComputeScheduleProperty(t *testing.T) {
 	}
 }
 
-// Property: the unswizzle permutation is the inverse of the swizzle — each
-// enabled writeback targets exactly the source element, and within a cycle
-// no two ALU lanes write the same destination.
-func TestUnswizzleInverseProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		s := ComputeSchedule(mask.Mask(raw), 16, 4)
-		for c := range s.Cycles {
-			un := s.Unswizzle(c)
-			dests := map[[2]int8]bool{}
-			for n, a := range s.Cycles[c] {
-				if a.Enabled != un[n].Enabled || a.Quad != un[n].Quad || a.SrcLane != un[n].SrcLane {
-					return false
-				}
-				if a.Enabled {
-					key := [2]int8{a.Quad, a.SrcLane}
-					if dests[key] {
-						return false
-					}
-					dests[key] = true
-				}
+// recount walks a schedule's cycles and counts its crossbar-routed
+// slots.
+func recount(s *Schedule) int {
+	n := 0
+	for _, c := range s.Cycles {
+		for ln := range c {
+			if c.Swizzled(ln) {
+				n++
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
+	return n
+}
+
+// The construction-time swizzle tally must match a walk of the cycles
+// for every SIMD16 mask.
+func TestSwizzlesFieldMatchesRecount(t *testing.T) {
+	for raw := 0; raw <= 0xFFFF; raw++ {
+		s := ComputeSchedule(mask.Mask(raw), 16, 4)
+		if got := recount(s); s.Swizzles() != got {
+			t.Fatalf("mask %#x: Swizzles() = %d, the cycles route %d", raw, s.Swizzles(), got)
+		}
 	}
 }
 
-// The closed-form SwizzleCount must equal the constructed schedule's
-// swizzle count for every SIMD16 mask, and for random widths/groups.
+// The closed-form SwizzleCount, which the timed engine charges as
+// crossbar traffic, must equal the constructed schedule's swizzle count
+// for every SIMD8 and SIMD16 mask and for seeded SIMD32 masks, at each
+// group size, and must ignore the lanes above the instruction's width.
 func TestSwizzleCountMatchesSchedule(t *testing.T) {
-	for raw := 0; raw <= 0xFFFF; raw++ {
-		m := mask.Mask(raw)
-		want := ComputeSchedule(m, 16, 4).SwizzleCount()
-		if got := SwizzleCount(m, 16, 4); got != want {
-			t.Fatalf("SwizzleCount(%#x) = %d, want %d", raw, got, want)
+	check := func(m mask.Mask, width, group int) {
+		t.Helper()
+		want := ComputeSchedule(m, width, group).Swizzles()
+		if got := SwizzleCount(m, width, group); got != want {
+			t.Fatalf("SwizzleCount(%#x, %d, %d) = %d, want %d", uint32(m), width, group, got, want)
+		}
+		if width < 32 {
+			// Whole groups of lanes above the width would not change the
+			// count, so the junk always holds a partial one.
+			junk := mask.Mask(1)<<width | mask.Mask(uint32(m)*0x9E3779B1)&^mask.Full(width)
+			if got := SwizzleCount(m|junk, width, group); got != want {
+				t.Fatalf("SwizzleCount(%#x, %d, %d) = %d, want %d: lanes above the width counted",
+					uint32(m|junk), width, group, got, want)
+			}
+		}
+	}
+	for _, group := range []int{1, 2, 4, 8} {
+		for _, width := range []int{8, 16} {
+			for raw := 0; raw < 1<<width; raw++ {
+				check(mask.Mask(raw), width, group)
+			}
+		}
+		r := rand.New(rand.NewSource(int64(group)))
+		for i := 0; i < 4096; i++ {
+			check(mask.Mask(r.Uint32()), 32, group)
 		}
 	}
 }
@@ -230,7 +249,7 @@ func TestSwizzleCountProperty(t *testing.T) {
 		w := widths[int(wsel)%len(widths)]
 		g := groups[int(gsel)%len(groups)]
 		m := mask.Mask(raw).Trunc(w)
-		return SwizzleCount(m, w, g) == ComputeSchedule(m, w, g).SwizzleCount()
+		return SwizzleCount(m, w, g) == ComputeSchedule(m, w, g).Swizzles()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
@@ -242,27 +261,6 @@ func TestScheduleString(t *testing.T) {
 	str := s.String()
 	if !strings.Contains(str, "cycle 0:") || !strings.Contains(str, "mask=0xaaaa") {
 		t.Errorf("unexpected schedule rendering:\n%s", str)
-	}
-}
-
-// Property: UnswizzleInto reuses dst and returns the same permutation as
-// Unswizzle.
-func TestUnswizzleIntoMatchesUnswizzle(t *testing.T) {
-	var buf []LaneAssign
-	for _, raw := range []uint32{0xAAAA, 0x137F, 0x0001, 0xFFFF, 0} {
-		s := ComputeSchedule(mask.Mask(raw), 16, 4)
-		for c := range s.Cycles {
-			want := s.Unswizzle(c)
-			buf = s.UnswizzleInto(buf, c)
-			if len(buf) != len(want) {
-				t.Fatalf("mask %#x cycle %d: len %d, want %d", raw, c, len(buf), len(want))
-			}
-			for i := range want {
-				if buf[i] != want[i] {
-					t.Fatalf("mask %#x cycle %d lane %d: %+v, want %+v", raw, c, i, buf[i], want[i])
-				}
-			}
-		}
 	}
 }
 

@@ -29,14 +29,14 @@ func divergentLoopProgram(iters uint32) isa.Program {
 }
 
 // timedAllocMasks gives every hardware thread a different divergence
-// pattern so the schedule cache, the fetch counters, and the swizzle
-// accounting all stay exercised.
+// pattern so the fetch counters and the swizzle accounting all stay
+// exercised.
 var timedAllocMasks = []mask.Mask{0xAAAA, 0x5555, 0xF0F0, 0x137F, 0x8001, 0xFFFF}
 
-// TestTimedExecutionZeroAlloc is the tentpole regression test: once the
-// schedule cache and all scratch buffers are warm, a full timed simulation
-// of a divergent cached-mask instruction stream must perform zero heap
-// allocations — with the observability layer compiled in but disabled.
+// TestTimedExecutionZeroAlloc is the tentpole regression test: once all
+// scratch buffers are warm, a full timed simulation of a divergent
+// instruction stream must perform zero heap allocations — with the
+// observability layer compiled in but disabled.
 // Every probe site in the EU is nil-guarded; this test proves the
 // disabled fast path builds no event values and boxes no interfaces.
 func TestTimedExecutionZeroAlloc(t *testing.T) {
@@ -67,7 +67,7 @@ func TestTimedExecutionZeroAlloc(t *testing.T) {
 		}
 	}
 
-	simulate() // warm up: fills the schedule cache and grows scratch
+	simulate() // warm up: grows scratch
 	if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
 		t.Fatalf("steady-state timed execution allocates %.1f times per run, want 0", allocs)
 	}

@@ -319,7 +319,7 @@ func (e *EU) issue(ti int, now int64) {
 				th.Stats.OperandFetchesSaved += int64(saved * ops)
 			}
 			if e.Cfg.Policy == compaction.SCC {
-				th.Stats.CrossbarOps += int64(compaction.ScheduleFor(res.Mask, res.Width, res.Group).Swizzles() * ops)
+				th.Stats.CrossbarOps += int64(compaction.SwizzleCount(res.Mask, res.Width, res.Group) * ops)
 			}
 		}
 
@@ -332,7 +332,7 @@ func (e *EU) issue(ti int, now int64) {
 			full := mask.QuadCount(res.Width, res.Group)
 			swz := 0
 			if e.Cfg.Policy == compaction.SCC {
-				swz = compaction.ScheduleFor(res.Mask, res.Width, res.Group).Swizzles()
+				swz = compaction.SwizzleCount(res.Mask, res.Width, res.Group)
 			}
 			e.probe.CompactionDecision(obs.CompactionEvent{
 				EU: e.ID, Thread: ti, Cycle: now, Policy: e.Cfg.Policy.String(),
@@ -419,7 +419,7 @@ func (e *EU) emitQuads(ti int, res *ExecResult, start int64) {
 	quad := func(q int) uint32 { return uint32(m.Quad(q, res.Group)) << uint(q*res.Group) }
 	switch e.Cfg.Policy {
 	case compaction.SCC:
-		s := compaction.ScheduleFor(m, res.Width, res.Group)
+		s := compaction.ComputeSchedule(m, res.Width, res.Group)
 		for _, cyc := range s.Cycles {
 			var lanes uint32
 			for _, a := range cyc {

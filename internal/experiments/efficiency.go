@@ -176,7 +176,7 @@ func runAblationSwizzle(ctx *Context) error {
 			continue
 		}
 		masks++
-		fig6Swz += int64(s.SwizzleCount())
+		fig6Swz += int64(s.Swizzles())
 		// Dense packing: active lane k (in ascending order) executes on
 		// ALU lane k%4; swizzled whenever its home position differs.
 		for k, lane := range m.Lanes() {

@@ -104,7 +104,7 @@ type GroupSpec struct {
 	// Verify additionally replays the captured trace through the
 	// independent oracle model (internal/oracle), checking per-record
 	// cost exactness, the cycle ladder, and SCC schedule soundness —
-	// including the memoized schedule cache the timed engine uses.
+	// including the closed-form swizzle count the timed engine charges.
 	Verify bool
 }
 

@@ -201,17 +201,9 @@ func TestRunCtxCancelledTimedMemoryParked(t *testing.T) {
 	}
 }
 
-// TestParseEngine pins the flag spellings.
-func TestParseEngine(t *testing.T) {
-	for in, want := range map[string]Engine{"": EngineEvent, "event": EngineEvent, "tick": EngineTick} {
-		got, err := ParseEngine(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseEngine(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
+// TestEngineDefault pins the event core as the zero-value selection and
+// the names the parity subtests use.
+func TestEngineDefault(t *testing.T) {
 	if EngineEvent.String() != "event" || EngineTick.String() != "tick" {
 		t.Fatal("Engine.String spelling changed")
 	}

@@ -30,29 +30,18 @@ const (
 	// — and skipped arbitration windows are accounted in bulk. Produces
 	// statistics bit-identical to EngineTick (DESIGN.md §13).
 	EngineEvent Engine = iota
-	// EngineTick is the original tick-every-cycle core, kept as an
-	// escape hatch so CI can differentially diff the two.
+	// EngineTick is the original tick-every-cycle core, kept as the
+	// reference the parity tests and the Tick benchmarks diff the event
+	// core against.
 	EngineTick
 )
 
-// String returns the flag spelling of the engine.
+// String names the engine, as the parity tests' subtests do.
 func (e Engine) String() string {
 	if e == EngineTick {
 		return "tick"
 	}
 	return "event"
-}
-
-// ParseEngine parses a -engine flag value. The empty string selects the
-// default event core.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "event":
-		return EngineEvent, nil
-	case "tick":
-		return EngineTick, nil
-	}
-	return 0, fmt.Errorf("gpu: unknown engine %q (want event or tick)", s)
 }
 
 // Config describes the whole GPU.

@@ -13,8 +13,8 @@ import (
 // masks: every schedule must take exactly max(1, ceil(popcount/group))
 // cycles — the bound the paper's cycle-compression argument rests on —
 // and must execute each active element exactly once from a position the
-// mask really enables. The policy cost models and the O(width) swizzle
-// counter are checked against both the materialized schedule and the
+// mask really enables. The policy cost models and the closed-form swizzle
+// count are checked against both the materialized schedule and the
 // independent oracle (internal/oracle), since the simulator's hot paths
 // use closed forms instead of building schedules.
 //
@@ -90,7 +90,7 @@ func FuzzSCCSchedule(f *testing.F) {
 		// across the schedule every active element executes exactly once.
 		quads := mask.QuadCount(width, group)
 		covered := map[[2]int]int{}
-		enabled := 0
+		enabled, swizzled := 0, 0
 		for c, cyc := range sched.Cycles {
 			if len(cyc) != group {
 				t.Fatalf("cycle %d has %d lane slots, want %d", c, len(cyc), group)
@@ -109,6 +109,9 @@ func FuzzSCCSchedule(f *testing.F) {
 						c, n, q, src, sched)
 				}
 				covered[[2]int{q, src}]++
+				if cyc.Swizzled(n) {
+					swizzled++
+				}
 			}
 		}
 		if enabled != pop {
@@ -120,18 +123,23 @@ func FuzzSCCSchedule(f *testing.F) {
 			}
 		}
 
-		// The fast path must agree with the materialized schedule and the
-		// oracle's Fig. 6 surplus formula, and a BCC-only schedule must
-		// never engage the crossbar.
-		if fast, slow := compaction.SwizzleCount(m, width, group), sched.SwizzleCount(); fast != slow {
-			t.Fatalf("mask %#x width=%d group=%d: SwizzleCount fast path %d != schedule %d",
-				bits, width, group, fast, slow)
-		}
-		if want := oracle.SCCSwizzles(uint32(m), width, group); sched.SwizzleCount() != want {
+		// The closed form, the construction-time tally and the cycles
+		// themselves must agree with the oracle's Fig. 6 surplus formula,
+		// and a BCC-only schedule must never engage the crossbar.
+		want := oracle.SCCSwizzles(uint32(m), width, group)
+		if swizzled != want {
 			t.Fatalf("mask %#x width=%d group=%d: schedule swizzles %d operands, oracle says %d",
-				bits, width, group, sched.SwizzleCount(), want)
+				bits, width, group, swizzled, want)
 		}
-		if sched.BCCOnly && sched.SwizzleCount() != 0 {
+		if got := sched.Swizzles(); got != want {
+			t.Fatalf("mask %#x width=%d group=%d: Swizzles() = %d, oracle says %d",
+				bits, width, group, got, want)
+		}
+		if got := compaction.SwizzleCount(m, width, group); got != want {
+			t.Fatalf("mask %#x width=%d group=%d: SwizzleCount = %d, oracle says %d",
+				bits, width, group, got, want)
+		}
+		if sched.BCCOnly && swizzled != 0 {
 			t.Fatalf("mask %#x: BCC-only schedule swizzles\n%s", bits, sched)
 		}
 	})

@@ -7,10 +7,10 @@
 // all-dead quads, SCC always reaches ceil(popcount/group) cycles, the
 // Ivy Bridge SIMD16 half-mask rule is the baseline all gains are
 // measured against — and the engine that computes them has grown fast
-// paths (lookup tables, memoized schedule caches, closed-form swizzle
-// counts, parallel sharding, pooled zero-alloc loops) that are each
-// trusted to be bit-identical to a slower path. This package re-derives
-// the slow path from the paper alone and diffs the engine against it.
+// paths (lookup tables, closed-form swizzle counts, parallel sharding,
+// pooled zero-alloc loops) that are each trusted to be bit-identical to
+// a slower path. This package re-derives the slow path from the paper
+// alone and diffs the engine against it.
 package oracle
 
 // This file is the reference model. It is deliberately simple — plain

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,21 @@ func TestErrorEnvelopeEveryPath(t *testing.T) {
 			name: "sweep over cell limit", status: http.StatusBadRequest, code: "invalid_request",
 			run: func(t *testing.T) (*http.Response, []byte) {
 				_, ts := newTestServer(t, Config{MaxSweepCells: 3})
-				return post(t, ts, "/v1/sweep", `{"workloads":["bsearch"]}`) // expands to 4 cells
+				return post(t, ts, "/v1/sweep", `{"workloads":["bsearch"]}`) // expands to 7 cells
+			},
+		},
+		{
+			name: "sweep over a billion-kernel range", status: http.StatusBadRequest, code: "invalid_request",
+			run: func(t *testing.T) (*http.Response, []byte) {
+				_, ts := newTestServer(t, Config{})
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				resp, data := post(t, ts, "/v1/sweep", `{"workloads":["kgen:mixed:1:0-1000000000"],"policies":["scc"]}`)
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+					t.Errorf("refusing the sweep allocated %d bytes, want under 1 MB", n)
+				}
+				return resp, data
 			},
 		},
 		{

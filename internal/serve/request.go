@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/experiments"
+	"intrawarp/internal/kgen"
 )
 
 // RunRequest asks for one workload execution. The zero value of every
@@ -145,6 +147,42 @@ type SweepRequest struct {
 	DCLinesPerCycle int  `json:"dcLinesPerCycle,omitempty"`
 	PerfectL3       bool `json:"perfectL3,omitempty"`
 	SkipVerify      bool `json:"skipVerify,omitempty"`
+}
+
+// size counts the cells the grid expands to from its axes alone: a
+// corpus range counts its hi−lo kernels and an empty policy axis all
+// seven policies. It expands no range and resolves no kernel, so a grid
+// over the cell limit, a billion-kernel range included, is refused
+// before any of it is built. The count saturates at math.MaxInt.
+func (r *SweepRequest) size() int {
+	per := len(r.Policies)
+	if per == 0 {
+		per = compaction.NumPolicies
+	}
+	per = mulSat(mulSat(per, max(len(r.SIMDWidths), 1)), max(len(r.Sizes), 1))
+	total := 0
+	for _, name := range r.Workloads {
+		kernels := 1
+		if kgen.IsName(name) {
+			if _, _, lo, hi, err := kgen.ParseRange(name); err == nil {
+				kernels = hi - lo
+			}
+		}
+		n := mulSat(kernels, per)
+		if n > math.MaxInt-total {
+			return math.MaxInt
+		}
+		total += n
+	}
+	return total
+}
+
+// mulSat is a·b for non-negative a and b, saturating at math.MaxInt.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // cells expands the grid into canonicalized per-cell RunRequests in

@@ -44,14 +44,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	if n := req.size(); n > s.cfg.MaxSweepCells {
+		s.finishError(w, tr, "sweep", http.StatusBadRequest,
+			fmt.Errorf("sweep expands to %d cells, above the %d-cell limit", n, s.cfg.MaxSweepCells))
+		return
+	}
 	cells, err := req.cells()
 	if err != nil {
 		s.finishError(w, tr, "sweep", http.StatusBadRequest, err)
-		return
-	}
-	if len(cells) > s.cfg.MaxSweepCells {
-		s.finishError(w, tr, "sweep", http.StatusBadRequest,
-			fmt.Errorf("sweep expands to %d cells, above the %d-cell limit", len(cells), s.cfg.MaxSweepCells))
 		return
 	}
 	s.met.requests.Add(1)

@@ -74,8 +74,6 @@ type (
 	GPU = gpu.GPU
 	// LaunchSpec is one kernel launch (1-D NDRange).
 	LaunchSpec = gpu.LaunchSpec
-	// Engine selects the timed-run core (event-driven or per-cycle tick).
-	Engine = gpu.Engine
 	// Kernel is a compiled kernel.
 	Kernel = isa.Kernel
 	// Program is a kernel's instruction sequence.
@@ -110,18 +108,6 @@ const (
 	Resize    = compaction.Resize
 	ITS       = compaction.ITS
 )
-
-// Timed-run cores (see DESIGN.md §13). EngineEvent — the default — jumps
-// the clock straight to the next scheduled wakeup; EngineTick steps every
-// cycle. Both produce bit-identical statistics.
-const (
-	EngineEvent = gpu.EngineEvent
-	EngineTick  = gpu.EngineTick
-)
-
-// ParseEngine parses an engine name ("event", "tick"; empty selects the
-// default event core).
-func ParseEngine(s string) (Engine, error) { return gpu.ParseEngine(s) }
 
 // SIMD widths.
 const (
@@ -195,15 +181,6 @@ func Assemble(src string) (Program, error) { return asm.Assemble(src) }
 // ComputeSchedule runs the SCC crossbar-setting algorithm of paper Fig. 6.
 func ComputeSchedule(m Mask, width, group int) *Schedule {
 	return compaction.ComputeSchedule(m, width, group)
-}
-
-// ScheduleFor returns the interned SCC schedule for the mask: repeated
-// lookups of the same (mask, width, group) return the same immutable
-// *Schedule without recomputing it. This is what the timed simulator uses
-// on its hot path; prefer it over ComputeSchedule unless a private copy
-// is required.
-func ScheduleFor(m Mask, width, group int) *Schedule {
-	return compaction.ScheduleFor(m, width, group)
 }
 
 // Workloads returns the registered benchmark suite.

@@ -49,8 +49,8 @@ func TestFacadeCyclesAndSchedule(t *testing.T) {
 		t.Fatal("facade policy Cycles wrong")
 	}
 	s := ComputeSchedule(0xAAAA, 16, 4)
-	if len(s.Cycles) != 2 || s.SwizzleCount() != 4 {
-		t.Fatalf("facade schedule wrong: %d cycles, %d swizzles", len(s.Cycles), s.SwizzleCount())
+	if len(s.Cycles) != 2 || s.Swizzles() != 4 {
+		t.Fatalf("facade schedule wrong: %d cycles, %d swizzles", len(s.Cycles), s.Swizzles())
 	}
 }
 

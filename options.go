@@ -121,14 +121,6 @@ func WithPerfectL3() Option {
 		sweep:  experiments.SweepPerfectL3()}
 }
 
-// WithEngine selects the timed-run core of NewConfig or NewGPU:
-// EngineEvent (the default) jumps the clock to the next scheduled
-// wakeup, EngineTick steps every cycle. The cores produce bit-identical
-// statistics; tick remains as a differential-testing escape hatch.
-func WithEngine(e Engine) Option {
-	return Option{name: "WithEngine", config: func(c *gpu.Config) { c.Engine = e }}
-}
-
 // WithMaxCycles sets the timed simulator's hang guard of NewConfig or
 // NewGPU; 0 keeps the default budget. Negative budgets are rejected.
 func WithMaxCycles(n int64) Option {

@@ -139,7 +139,6 @@ func TestOptionEntryPointMatrix(t *testing.T) {
 		{"WithConfig", WithConfig(DefaultConfig()), config},
 		{"WithDCBandwidth", WithDCBandwidth(2), config + " NewSweep"},
 		{"WithPerfectL3", WithPerfectL3(), config + " NewSweep"},
-		{"WithEngine", WithEngine(EngineTick), config},
 		{"WithMaxCycles", WithMaxCycles(1 << 20), config},
 		{"WithWorkers", WithWorkers(2), config + " " + experiment + " NewSweep"},
 		{"SweepWorkloads", SweepWorkloads("urng"), "NewSweep"},
