@@ -104,8 +104,9 @@ corpus:
 # timeline-smoke captures a Perfetto timeline from a divergent workload
 # across all seven policies, validates it with timelint (required keys,
 # monotonic per-track timestamps, paired async spans), and re-proves the
-# zero-alloc contract with the probes compiled in but disabled. CI
-# uploads the timeline as an artifact.
+# zero-alloc contract of the timed loop under every policy, with the
+# probes compiled in and both off and attached. CI uploads the timeline
+# as an artifact.
 TIMELINE ?= timeline.json
 
 timeline-smoke:

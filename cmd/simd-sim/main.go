@@ -5,7 +5,7 @@
 //
 //	simd-sim -list
 //	simd-sim -workload bfs [-policy scc] [-n 1024] [-dc 2] [-perfect-l3]
-//	         [-functional] [-workers 4] [-disasm]
+//	         [-functional] [-workers 4] [-json]
 //	simd-sim -workload bfs -compare -timeline bfs.json
 //
 // -timeline captures a Chrome-trace/Perfetto timeline of the run (one

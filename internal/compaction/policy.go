@@ -131,21 +131,6 @@ const ivbWidth = 16
 // sensitivity table sweeps them.
 const DefaultSubWarpWidth = 8
 
-// EffectiveSubWarp returns the sub-warp span Resize actually schedules
-// at: subWidth rounded up to a whole number of execution groups (a
-// sub-warp cannot split a group across issue slots), and at least one
-// group. Non-positive subWidth selects DefaultSubWarpWidth.
-func EffectiveSubWarp(group, subWidth int) int {
-	if subWidth <= 0 {
-		subWidth = DefaultSubWarpWidth
-	}
-	eff := (subWidth + group - 1) / group * group
-	if eff < group {
-		eff = group
-	}
-	return eff
-}
-
 // MeldingCycles is the Melding cost before the 1-cycle issue minimum:
 // fully-enabled quads issue alone (no dead lane can host the melded
 // twin), partially-enabled quads pair up with the complementary branch
@@ -170,10 +155,16 @@ func ResizeCycles(m mask.Mask, width, group, subWidth int) int {
 }
 
 // resizeQuads counts the group cycles of every issued sub-warp, before
-// the 1-cycle issue minimum — also the Resize operand-fetch count.
+// the 1-cycle issue minimum — also the Resize operand-fetch count. A
+// sub-warp spans subWidth lanes rounded up to a whole number of
+// execution groups (a sub-warp cannot split a group across issue
+// slots); a non-positive subWidth selects DefaultSubWarpWidth.
 func resizeQuads(m mask.Mask, width, group, subWidth int) int {
 	m = m.Trunc(width)
-	eff := EffectiveSubWarp(group, subWidth)
+	if subWidth <= 0 {
+		subWidth = DefaultSubWarpWidth
+	}
+	eff := (subWidth + group - 1) / group * group
 	c := 0
 	for start := 0; start < width; start += eff {
 		lanes := eff

@@ -6,6 +6,8 @@ import (
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/mask"
+	"intrawarp/internal/memory"
+	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
 )
 
@@ -33,43 +35,60 @@ func divergentLoopProgram(iters uint32) isa.Program {
 // exercised.
 var timedAllocMasks = []mask.Mask{0xAAAA, 0x5555, 0xF0F0, 0x137F, 0x8001, 0xFFFF}
 
-// TestTimedExecutionZeroAlloc is the tentpole regression test: once all
-// scratch buffers are warm, a full timed simulation of a divergent
-// instruction stream must perform zero heap allocations — with the
-// observability layer compiled in but disabled.
-// Every probe site in the EU is nil-guarded; this test proves the
-// disabled fast path builds no event values and boxes no interfaces.
+// nullProbe is a do-nothing probe: attached, every probe site in the EU
+// runs and builds its event, and nothing reads it.
+type nullProbe struct{ obs.NullProbe }
+
+// runDivergent installs the divergent kernel on every hardware thread of
+// e, one mask of timedAllocMasks each, and ticks e and its memory system
+// from cycle 0 until both are quiet.
+func runDivergent(t testing.TB, e *EU, sys *memory.System, p *Program, run *stats.Run) {
+	for ti, th := range e.Threads {
+		th.Reset(p, 16, 0xFFFF)
+		th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
+		th.Stats = run
+	}
+	e.MarkDirty()
+	var cycle int64
+	for {
+		sys.Tick(cycle)
+		e.Tick(cycle)
+		if e.Quiet() && !sys.InFlight() {
+			return
+		}
+		if cycle++; cycle > 1_000_000 {
+			t.Fatal("EU did not quiesce")
+		}
+	}
+}
+
+// TestTimedExecutionZeroAlloc is the zero-alloc contract of the timed
+// loop: once all scratch buffers are warm, a full timed simulation of a
+// divergent instruction stream performs zero heap allocations under
+// every policy, with the observability layer compiled in and either
+// disabled or attached. Every probe site in the EU is nil-guarded, so the
+// disabled path builds no event values and boxes no interfaces; an
+// attached probe receives plain value events and costs no allocation
+// either.
 func TestTimedExecutionZeroAlloc(t *testing.T) {
 	p := mustDecode(divergentLoopProgram(24))
-	e, sys := newTestEU(compaction.SCC)
-	if e.probe != nil {
-		t.Fatal("test requires the probes-disabled configuration")
-	}
-	run := stats.NewRun("alloc", 16)
-
-	simulate := func() {
-		for ti, th := range e.Threads {
-			th.Reset(p, 16, 0xFFFF)
-			th.Active = timedAllocMasks[ti%len(timedAllocMasks)]
-			th.Stats = run
-		}
-		e.MarkDirty()
-		var cycle int64
-		for {
-			sys.Tick(cycle)
-			e.Tick(cycle)
-			if e.Quiet() && !sys.InFlight() {
-				return
+	for _, policy := range compaction.Policies {
+		for _, probe := range []obs.Probe{nil, nullProbe{}} {
+			name := policy.String() + "/probe-off"
+			if probe != nil {
+				name = policy.String() + "/probe-attached"
 			}
-			if cycle++; cycle > 1_000_000 {
-				t.Fatal("EU did not quiesce")
-			}
+			t.Run(name, func(t *testing.T) {
+				e, sys := newTestEU(policy)
+				e.Cfg.Probe, e.probe = probe, probe
+				run := stats.NewRun("alloc", 16)
+				simulate := func() { runDivergent(t, e, sys, p, run) }
+				simulate() // warm up: grows scratch
+				if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
+					t.Fatalf("steady-state timed execution allocates %.1f times per run, want 0", allocs)
+				}
+			})
 		}
-	}
-
-	simulate() // warm up: grows scratch
-	if allocs := testing.AllocsPerRun(10, simulate); allocs != 0 {
-		t.Fatalf("steady-state timed execution allocates %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/isa"
-	"intrawarp/internal/mask"
 	"intrawarp/internal/memory"
 	"intrawarp/internal/obs"
 	"intrawarp/internal/stats"
@@ -26,10 +25,9 @@ type Config struct {
 	// refills. Zero (the default) assumes a perfect front end.
 	JumpPenalty int
 
-	// Probe receives instrumentation events (issues, stall windows,
-	// compaction decisions, SEND completions). Nil — the default — keeps
-	// the timed loop on its zero-allocation fast path: every probe site
-	// is one untaken branch.
+	// Probe receives instrumentation events (issues, stall windows, SEND
+	// completions). Nil — the default — keeps the timed loop on its
+	// zero-allocation fast path: every probe site is one untaken branch.
 	Probe obs.Probe
 }
 
@@ -329,17 +327,6 @@ func (e *EU) issue(ti int, now int64) {
 				Op: in.Op.String(), Pipe: uint8(res.Pipe),
 				Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
 			})
-			full := mask.QuadCount(res.Width, res.Group)
-			swz := 0
-			if e.Cfg.Policy == compaction.SCC {
-				swz = compaction.SwizzleCount(res.Mask, res.Width, res.Group)
-			}
-			e.probe.CompactionDecision(obs.CompactionEvent{
-				EU: e.ID, Thread: ti, Cycle: now, Policy: e.Cfg.Policy.String(),
-				Mask: uint32(res.Mask.Trunc(res.Width)), Width: res.Width, Group: res.Group,
-				Cycles: cycles, QuadsDone: int(cycles), QuadsSkipped: full - int(cycles), Swizzles: swz,
-			})
-			e.emitQuads(ti, res, start)
 		}
 
 		ev := wbEvent{at: start + int64(e.Cfg.PipeDepth) + cycles, thread: ti, flag: d.setFlag}
@@ -400,106 +387,6 @@ func (e *EU) issue(ti int, now int64) {
 			e.outstanding[ti]++
 			e.mem.RequestLines(res.Lines, now, c)
 		}
-	}
-}
-
-// emitQuads reports the per-cycle lane schedule of one compressed ALU
-// instruction (obs.QuadEvent per execution cycle). It mirrors the cycle
-// accounting of Policy.Cycles so the emitted schedule length equals the
-// charged occupancy. Only called with a probe attached; allocates nothing
-// except under SCC, where the crossbar schedule is materialized.
-func (e *EU) emitQuads(ti int, res *ExecResult, start int64) {
-	m := res.Mask.Trunc(res.Width)
-	n := mask.QuadCount(res.Width, res.Group)
-	idx := 0
-	emit := func(lanes uint32) {
-		e.probe.QuadScheduled(obs.QuadEvent{EU: e.ID, Thread: ti, Cycle: start + int64(idx), Index: idx, Lanes: lanes})
-		idx++
-	}
-	quad := func(q int) uint32 { return uint32(m.Quad(q, res.Group)) << uint(q*res.Group) }
-	switch e.Cfg.Policy {
-	case compaction.SCC:
-		s := compaction.ComputeSchedule(m, res.Width, res.Group)
-		for _, cyc := range s.Cycles {
-			var lanes uint32
-			for _, a := range cyc {
-				if a.Enabled {
-					lanes |= 1 << uint(int(a.Quad)*res.Group+int(a.SrcLane))
-				}
-			}
-			emit(lanes)
-		}
-	case compaction.BCC:
-		for q := 0; q < n; q++ {
-			if lanes := quad(q); lanes != 0 {
-				emit(lanes)
-			}
-		}
-	case compaction.Melding:
-		// Full quads issue alone; partial quads pair up with each other,
-		// the pair sharing one issue slot with the melded branch twin.
-		var pending uint32
-		has := false
-		for q := 0; q < n; q++ {
-			lanes := res.Group
-			if rem := res.Width - q*res.Group; rem < lanes {
-				lanes = rem
-			}
-			qm := m.Quad(q, res.Group)
-			if qm == 0 {
-				continue
-			}
-			if qm == mask.Full(lanes) {
-				emit(quad(q))
-				continue
-			}
-			if has {
-				emit(pending | quad(q))
-				pending, has = 0, false
-			} else {
-				pending, has = quad(q), true
-			}
-		}
-		if has {
-			emit(pending) // odd partial quad out: a slot of its own
-		}
-	case compaction.Resize:
-		// Every quad of every issued sub-warp, dead quads included; whole
-		// dead sub-warps are never issued.
-		eff := compaction.EffectiveSubWarp(res.Group, compaction.DefaultSubWarpWidth)
-		for s := 0; s < res.Width; s += eff {
-			lanes := eff
-			if rem := res.Width - s; rem < lanes {
-				lanes = rem
-			}
-			if (m>>uint(s))&mask.Full(lanes) == 0 {
-				continue
-			}
-			q0 := s / res.Group
-			for q := q0; q < q0+mask.QuadCount(lanes, res.Group); q++ {
-				emit(quad(q))
-			}
-		}
-	case compaction.IvyBridge:
-		lo, hi := 0, n
-		if res.Width == 16 && n >= 2 {
-			// The inferred SIMD16 half-off optimization (paper §5.2).
-			if m.UpperHalfOff(res.Width) {
-				hi = n / 2
-			} else if m.LowerHalfOff(res.Width) {
-				lo = n / 2
-			}
-		}
-		for q := lo; q < hi; q++ {
-			emit(quad(q))
-		}
-	default:
-		for q := 0; q < n; q++ {
-			emit(quad(q))
-		}
-	}
-	if idx == 0 {
-		emit(0) // an empty mask still occupies one issue slot
 	}
 }
 

@@ -94,11 +94,6 @@ type GroupSpec struct {
 	Workload string
 	Width    int // SIMD width in lanes; 0 = the kernel's native width
 	Size     int // problem scale; 0 = the workload default
-	// DCLinesPerCycle and PerfectL3 select the memory configuration;
-	// they do not change functional cost accounting but are part of the
-	// group identity so serving-tier cache keys stay faithful.
-	DCLinesPerCycle int // 0 = the paper's DC1
-	PerfectL3       bool
 	// SkipVerify drops the workload's host-side result check.
 	SkipVerify bool
 	// Verify additionally replays the captured trace through the
@@ -134,10 +129,6 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 		return nil, err
 	}
 	cfg := gpu.DefaultConfig()
-	if gs.DCLinesPerCycle > 0 {
-		cfg.Mem.DCLinesPerCycle = gs.DCLinesPerCycle
-	}
-	cfg.Mem.PerfectL3 = gs.PerfectL3
 	var replayProbe obs.Probe
 	if probes := obs.ProbesFrom(ctx); probes != nil {
 		cfg.EU.Probe = probes("sweep/" + spec.Name)
@@ -219,8 +210,6 @@ type Sweep struct {
 	policies   []compaction.Policy
 	widths     []int
 	sizes      []int
-	dcLines    int
-	perfectL3  bool
 	skipVerify bool
 	verify     bool
 	quick      bool
@@ -291,22 +280,6 @@ func SweepSizes(ns ...int) SweepOption {
 // at the default size.
 func SweepQuick() SweepOption {
 	return func(s *Sweep) error { s.quick = true; return nil }
-}
-
-// SweepDCBandwidth sets the data-cluster bandwidth in lines per cycle.
-func SweepDCBandwidth(lines int) SweepOption {
-	return func(s *Sweep) error {
-		if lines < 1 {
-			return fmt.Errorf("experiments: SweepDCBandwidth(%d): need at least 1 line/cycle", lines)
-		}
-		s.dcLines = lines
-		return nil
-	}
-}
-
-// SweepPerfectL3 models an always-hitting L3.
-func SweepPerfectL3() SweepOption {
-	return func(s *Sweep) error { s.perfectL3 = true; return nil }
 }
 
 // SweepSkipChecks drops every workload's host-side result verification.
@@ -392,13 +365,11 @@ func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 			}
 		}
 		results[i], errs[i] = ExecuteGroup(ctx, GroupSpec{
-			Workload:        k.name,
-			Width:           k.width,
-			Size:            size,
-			DCLinesPerCycle: s.dcLines,
-			PerfectL3:       s.perfectL3,
-			SkipVerify:      s.skipVerify,
-			Verify:          s.verify,
+			Workload:   k.name,
+			Width:      k.width,
+			Size:       size,
+			SkipVerify: s.skipVerify,
+			Verify:     s.verify,
 		})
 	})
 	var failed []error

@@ -272,7 +272,6 @@ func TestSweepOptionValidation(t *testing.T) {
 		{"unknown workload", []SweepOption{SweepWorkloads("nope")}},
 		{"bad width", []SweepOption{SweepWorkloads("bsearch"), SweepWidths(7)}},
 		{"negative size", []SweepOption{SweepWorkloads("bsearch"), SweepSizes(-1)}},
-		{"bad dc bandwidth", []SweepOption{SweepWorkloads("bsearch"), SweepDCBandwidth(0)}},
 		{"out-of-range policy", []SweepOption{SweepWorkloads("bsearch"), SweepPolicies(compaction.Policy(compaction.NumPolicies))}},
 	}
 	for _, tc := range cases {

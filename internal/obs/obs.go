@@ -36,12 +36,6 @@ type Probe interface {
 	LaunchEnd(cycles int64)
 	// InstrIssued reports one instruction entering an execution pipe.
 	InstrIssued(e IssueEvent)
-	// CompactionDecision reports the policy's cycle charge for one ALU
-	// instruction: the mask it saw and the quads it executed vs skipped.
-	CompactionDecision(e CompactionEvent)
-	// QuadScheduled reports one execution cycle's quad within a
-	// compressed instruction (the schedule granularity of §4).
-	QuadScheduled(e QuadEvent)
 	// SendCompleted reports a global-memory SEND's data return.
 	SendCompleted(e SendEvent)
 	// Window attributes one EU arbitration window to its outcome:
@@ -80,36 +74,6 @@ type IssueEvent struct {
 	Width  int
 }
 
-// CompactionEvent is the compaction decision taken for one ALU
-// instruction: the policy consulted, the mask it compressed, and the
-// resulting charge. QuadsDone and QuadsSkipped split the instruction's
-// lane groups into executed and suppressed; Swizzles counts operands
-// routed through SCC crossbars.
-type CompactionEvent struct {
-	EU           int
-	Thread       int
-	Cycle        int64
-	Policy       string
-	Mask         uint32
-	Width        int
-	Group        int
-	Cycles       int64
-	QuadsDone    int
-	QuadsSkipped int
-	Swizzles     int
-}
-
-// QuadEvent is one scheduled execution cycle of a compressed
-// instruction: the lanes (as a bitmask of the original positions) that
-// retire in cycle Cycle.
-type QuadEvent struct {
-	EU     int
-	Thread int
-	Cycle  int64 // absolute cycle this quad executes
-	Index  int   // 0-based position within the instruction's schedule
-	Lanes  uint32
-}
-
 // SendEvent is a completed global-memory SEND.
 type SendEvent struct {
 	EU        int
@@ -139,12 +103,6 @@ func (NullProbe) LaunchEnd(int64) {}
 
 // InstrIssued implements Probe.
 func (NullProbe) InstrIssued(IssueEvent) {}
-
-// CompactionDecision implements Probe.
-func (NullProbe) CompactionDecision(CompactionEvent) {}
-
-// QuadScheduled implements Probe.
-func (NullProbe) QuadScheduled(QuadEvent) {}
 
 // SendCompleted implements Probe.
 func (NullProbe) SendCompleted(SendEvent) {}

@@ -212,16 +212,6 @@ type issueArgs struct {
 	Width  int `json:"width"`
 }
 
-// CompactionDecision implements Probe. The timeline aggregates these
-// into process-level totals surfaced as counter samples would be noise;
-// instead the per-instruction detail rides on the issue slices and the
-// totals are available to custom probes.
-func (r *TimelineRun) CompactionDecision(CompactionEvent) {}
-
-// QuadScheduled implements Probe (ignored: quad granularity is below
-// what a timeline can usefully display).
-func (r *TimelineRun) QuadScheduled(QuadEvent) {}
-
 // SendCompleted implements Probe: each SEND becomes an async span from
 // issue to data return on the EU's mem track (async spans tolerate the
 // overlap of multiple in-flight SENDs).

@@ -202,12 +202,10 @@ func (s *Server) streamSweep(ctx context.Context, st *sweepStream, cells []RunRe
 		g, ok := groups[k]
 		if !ok {
 			g = &sweepGroup{key: k, spec: experiments.GroupSpec{
-				Workload:        cell.Workload,
-				Width:           cell.SIMDWidth,
-				Size:            cell.Size,
-				DCLinesPerCycle: cell.DCLinesPerCycle,
-				PerfectL3:       cell.PerfectL3,
-				SkipVerify:      cell.SkipVerify,
+				Workload:   cell.Workload,
+				Width:      cell.SIMDWidth,
+				Size:       cell.Size,
+				SkipVerify: cell.SkipVerify,
 			}}
 			groups[k] = g
 			order = append(order, g)
@@ -256,7 +254,7 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 	f, leader, runCtx := s.flights.join(g.key, s.base)
 	if leader {
 		go s.flights.run(g.key, f, func() (*response, error) {
-			cells, err := s.executeSweepGroup(withStages(runCtx, &f.stages), g.spec)
+			cells, err := s.executeSweepGroup(withStages(runCtx, &f.stages), g)
 			f.cells = cells
 			return nil, err
 		})
@@ -304,13 +302,13 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 // is no queue-depth shedding — the sweep endpoint bounds its own
 // concurrency — but slot contention, in-flight accounting, and stage
 // attribution are identical.
-func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec) (map[string][]byte, error) {
+func (s *Server) executeSweepGroup(ctx context.Context, g *sweepGroup) (map[string][]byte, error) {
 	// Re-check under the flight (cf. serveCached): every cell of this
 	// group may have been published while the group waited to start.
 	out := make(map[string][]byte, compaction.NumPolicies)
 	cached := true
 	for _, p := range compaction.Policies {
-		body, ok := s.cache.get(groupCell(gs, p).key())
+		body, ok := s.cache.get(g.cell(p).key())
 		if !ok {
 			cached = false
 			break
@@ -341,7 +339,7 @@ func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec
 
 	s.met.simRuns.Add(1)
 	runStart := time.Now()
-	res, err := experiments.ExecuteGroup(ctx, gs)
+	res, err := experiments.ExecuteGroup(ctx, g.spec)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			s.met.cancelled.Add(1)
@@ -355,7 +353,7 @@ func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec
 
 	encStart := time.Now()
 	for _, p := range compaction.Policies {
-		cell := groupCell(gs, p)
+		cell := g.cell(p)
 		body, err := encodeRunPayload(cell, res.Runs[p].Report(), nil)
 		if err != nil {
 			return nil, err
@@ -367,16 +365,12 @@ func (s *Server) executeSweepGroup(ctx context.Context, gs experiments.GroupSpec
 	return out, nil
 }
 
-// groupCell reconstructs the canonical cell request of one policy in a
-// group — the request whose /v1/run response the cell's stream line is.
-func groupCell(gs experiments.GroupSpec, p compaction.Policy) *RunRequest {
-	return &RunRequest{
-		Workload:        gs.Workload,
-		Size:            gs.Size,
-		SIMDWidth:       gs.Width,
-		Policy:          p.String(),
-		DCLinesPerCycle: gs.DCLinesPerCycle,
-		PerfectL3:       gs.PerfectL3,
-		SkipVerify:      gs.SkipVerify,
-	}
+// cell is the canonical request of policy p's cell in the group — the
+// request whose /v1/run response the cell's stream line is: the group's
+// first missed cell under policy p. The group's cells differ only in
+// policy, and the memory fields a cell echoes and keys on come from it.
+func (g *sweepGroup) cell(p compaction.Policy) *RunRequest {
+	cell := *g.cells[0]
+	cell.Policy = p.String()
+	return &cell
 }

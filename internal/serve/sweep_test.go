@@ -166,6 +166,54 @@ func TestSweepCellsByteIdenticalToRun(t *testing.T) {
 	}
 }
 
+// TestSweepCellsEchoMemoryFields: a sweep's memory fields change no
+// functional result, yet every cell echoes them and the cache keys on
+// them. Each cell is then the /v1/run response of its echoed request,
+// memory fields included, and a sweep under the default memory
+// configuration is a group of its own.
+func TestSweepCellsEchoMemoryFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, data := post(t, ts, "/v1/sweep", `{"workloads":["bsearch"],"sizes":[300],"dcLinesPerCycle":2,"perfectL3":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	results, errLines, sum := readSweep(t, bytes.NewReader(data))
+	if len(errLines) != 0 || len(results) != 7 {
+		t.Fatalf("got %d results and %d error lines, want 7 and 0", len(results), len(errLines))
+	}
+	if want := (sweepSummary{Cells: 7, Executions: 1, Complete: true}); sum != want {
+		t.Errorf("summary = %+v, want %+v", sum, want)
+	}
+	for _, line := range results {
+		var cell struct {
+			Request json.RawMessage `json:"request"`
+		}
+		var req RunRequest
+		if err := json.Unmarshal(line, &cell); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(cell.Request, &req); err != nil {
+			t.Fatal(err)
+		}
+		if req.DCLinesPerCycle != 2 || !req.PerfectL3 {
+			t.Errorf("cell %s echoes dcLinesPerCycle=%d perfectL3=%v, want 2 and true",
+				req.Policy, req.DCLinesPerCycle, req.PerfectL3)
+		}
+		runResp, runData := post(t, ts, "/v1/run", string(cell.Request))
+		if got := runResp.Header.Get("X-Cache"); got != "hit" {
+			t.Errorf("cell %s: X-Cache = %q, want hit", req.Policy, got)
+		}
+		if !bytes.Equal(runData, line) {
+			t.Errorf("cell %s bytes differ from /v1/run response\nsweep: %s\nrun:   %s", req.Policy, line, runData)
+		}
+	}
+
+	_, data = post(t, ts, "/v1/sweep", `{"workloads":["bsearch"],"sizes":[300]}`)
+	if _, _, sum := readSweep(t, bytes.NewReader(data)); sum.CacheHits != 0 || sum.Executions != 1 {
+		t.Errorf("default-memory sweep: %+v, want 0 cache hits and 1 execution", sum)
+	}
+}
+
 // TestSweepFlushesPartialResultsAndDisconnectCancels drives the two
 // streaming guarantees at once. A single-slot server gets a two-group
 // sweep — one tiny group, one multi-second group. The tiny group's seven

@@ -278,9 +278,10 @@ type (
 )
 
 // NewSweep builds a sweep grid from SweepWorkloads (required), the other
-// Sweep* axis options, and WithQuick, WithWorkers, WithDCBandwidth,
-// WithPerfectL3 and WithoutVerify. Unset axes default to all seven
-// policies × native width × default size.
+// Sweep* axis options, and WithQuick, WithWorkers and WithoutVerify.
+// Unset axes default to all seven policies × native width × default
+// size. A sweep group is one functional execution, which reads no
+// memory timing, so the memory options do not apply.
 func NewSweep(opts ...Option) (*Sweep, error) {
 	sopts := make([]experiments.SweepOption, len(opts))
 	for i, o := range opts {

@@ -101,11 +101,10 @@ func WithConfig(cfg Config) Option {
 
 // WithDCBandwidth sets the data-cluster bandwidth in cache lines per
 // cycle (the paper's DC1/DC2 axis) of the machine built by NewConfig or
-// NewGPU, or of every NewSweep group. Values below 1 are rejected.
+// NewGPU. Values below 1 are rejected.
 func WithDCBandwidth(lines int) Option {
 	o := Option{name: "WithDCBandwidth",
-		config: func(c *gpu.Config) { c.Mem.DCLinesPerCycle = lines },
-		sweep:  experiments.SweepDCBandwidth(lines)}
+		config: func(c *gpu.Config) { c.Mem.DCLinesPerCycle = lines }}
 	if lines < 1 {
 		o.err = fmt.Errorf("intrawarp: WithDCBandwidth(%d): need at least 1 line/cycle", lines)
 	}
@@ -114,11 +113,9 @@ func WithDCBandwidth(lines int) Option {
 
 // WithPerfectL3 models an always-hitting L3 (the paper's perfect-L3
 // sensitivity study, Fig. 12) in the machine built by NewConfig or
-// NewGPU, or in every NewSweep group.
+// NewGPU.
 func WithPerfectL3() Option {
-	return Option{name: "WithPerfectL3",
-		config: func(c *gpu.Config) { c.Mem.PerfectL3 = true },
-		sweep:  experiments.SweepPerfectL3()}
+	return Option{name: "WithPerfectL3", config: func(c *gpu.Config) { c.Mem.PerfectL3 = true }}
 }
 
 // WithMaxCycles sets the timed simulator's hang guard of NewConfig or

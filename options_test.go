@@ -83,9 +83,6 @@ func TestInvalidOptions(t *testing.T) {
 	if err := RunExperimentCtx(context.Background(), "rfarea", WithOutput(nil)); err == nil {
 		t.Fatal("WithOutput(nil) accepted")
 	}
-	if _, err := NewSweep(SweepWorkloads("bsearch"), WithDCBandwidth(0)); err == nil {
-		t.Fatal("NewSweep with WithDCBandwidth(0) accepted")
-	}
 }
 
 // TestOptionEntryPointMatrix passes every option to every facade entry
@@ -137,8 +134,8 @@ func TestOptionEntryPointMatrix(t *testing.T) {
 		{"WithPolicy", WithPolicy(SCC), config},
 		{"WithProbe", WithProbe(nil), config},
 		{"WithConfig", WithConfig(DefaultConfig()), config},
-		{"WithDCBandwidth", WithDCBandwidth(2), config + " NewSweep"},
-		{"WithPerfectL3", WithPerfectL3(), config + " NewSweep"},
+		{"WithDCBandwidth", WithDCBandwidth(2), config},
+		{"WithPerfectL3", WithPerfectL3(), config},
 		{"WithMaxCycles", WithMaxCycles(1 << 20), config},
 		{"WithWorkers", WithWorkers(2), config + " " + experiment + " NewSweep"},
 		{"SweepWorkloads", SweepWorkloads("urng"), "NewSweep"},
@@ -168,15 +165,14 @@ func TestOptionEntryPointMatrix(t *testing.T) {
 // sweep exactly as the engine's own sweep options do.
 func TestSweepOptionsMatchEngine(t *testing.T) {
 	got, err := NewSweep(SweepWorkloads("bsearch"), SweepPolicies(SCC, BCC), SweepWidths(8),
-		SweepSizes(256), SweepVerify(), WithQuick(), WithWorkers(3), WithDCBandwidth(2),
-		WithPerfectL3(), WithoutVerify())
+		SweepSizes(256), SweepVerify(), WithQuick(), WithWorkers(3), WithoutVerify())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := experiments.NewSweep(experiments.SweepWorkloads("bsearch"),
 		experiments.SweepPolicies(SCC, BCC), experiments.SweepWidths(8), experiments.SweepSizes(256),
 		experiments.SweepVerify(), experiments.SweepQuick(), experiments.SweepWorkers(3),
-		experiments.SweepDCBandwidth(2), experiments.SweepPerfectL3(), experiments.SweepSkipChecks())
+		experiments.SweepSkipChecks())
 	if err != nil {
 		t.Fatal(err)
 	}
