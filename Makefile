@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelGen -fuzztime $(FUZZTIME) ./internal/kgen/
 	$(GO) test -run '^$$' -fuzz FuzzLaneLoop -fuzztime $(FUZZTIME) ./internal/eu/
 	$(GO) test -run '^$$' -fuzz FuzzTraceAnalyze -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME) ./internal/serve/
 
 # corpus runs the seeded kernel corpus through the full differential
 # pipeline: every generated kernel checked against its straight-line

@@ -27,7 +27,8 @@ type InstrVisitor func(wg, thread int, res eu.ExecResult)
 //
 // A non-nil probe receives per-instruction obs events. The functional
 // engine has no clock; instruction indices stand in for cycles, offset by
-// stepBase so a serial run's event stream is monotonic across workgroups.
+// stepBase so each worker's event stream is monotonic across its
+// workgroups.
 // The executed step count is returned for that accumulation.
 func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec, prog *eu.Program, wg int,
 	run *stats.Run, visit InstrVisitor, probe obs.Probe, stepBase int64) (int64, error) {
@@ -105,19 +106,23 @@ func (g *GPU) runWorkgroup(pool []*eu.Thread, slm *memory.SLM, spec *LaunchSpec,
 // collection and EU-cycle-only experiments (Figs. 3, 9, 10).
 //
 // Workgroups are independent (the NDRange model forbids cross-workgroup
-// synchronization within a launch), so they are sharded across a worker
-// pool of Config.Workers goroutines (default runtime.GOMAXPROCS). Each
-// worker accumulates into a private stats.Run shard; every shard field is
-// an integer sum, so merging them yields statistics bit-identical to a
-// serial run (see DESIGN.md §7). A non-nil visit
-// forces serial execution: trace capture needs the exact serial
-// interleaving of the record stream.
+// synchronization within a launch), so they are claimed in order by a
+// pool of Config.Workers goroutines (default runtime.GOMAXPROCS), never
+// more than there are workgroups. A lone worker accumulates straight into
+// the returned run. Above one worker each accumulates into a private
+// stats.Run shard, merged afterwards; every shard field is an integer
+// sum, so the merge yields statistics bit-identical to one worker's (see
+// DESIGN.md §7), and device memory runs in shared mode for the duration
+// (per-word atomics make idempotent overlapping writes and
+// cross-workgroup atomics well-defined). A non-nil visit runs on one
+// worker: trace capture needs the record stream in workgroup order.
 //
 // ctx is checked at workgroup granularity, so when it is cancelled every
 // in-flight workgroup finishes, no further workgroup starts, and
 // ctx.Err() is returned. Which workgroups completed before the cut is
 // scheduling-dependent, but the error is not: a cancelled run never
-// returns partial statistics.
+// returns partial statistics. A worker stops at its first failing
+// workgroup, and the lowest-indexed failure is the error returned.
 func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit InstrVisitor) (*stats.Run, error) {
 	threadsPerWG, numWGs, err := spec.validate(g.Cfg)
 	if err != nil {
@@ -129,98 +134,81 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	}
 	run := stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
 
-	workers := par.Workers(g.Cfg.Workers)
-	if workers > numWGs {
-		workers = numWGs
+	workers := 1
+	if visit == nil {
+		workers = min(par.Workers(g.Cfg.Workers), numWGs)
+	}
+	ws := make([]functionalWorker, workers)
+	for w := range ws {
+		ws[w] = functionalWorker{run: run, pool: g.threads(w, threadsPerWG)}
+		if workers > 1 {
+			ws[w].run = stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
+		}
+		if prog.UsesSLM() {
+			ws[w].slm = g.takeSLM()
+			defer g.putSLM(ws[w].slm)
+		}
 	}
 	probe := g.Cfg.EU.Probe
-	if visit != nil || workers <= 1 {
-		// Serial path: worker 0's thread-context pool and one scratchpad,
-		// reused across workgroups, all accumulating directly into run.
-		if probe != nil {
-			probe.LaunchBegin(obs.LaunchEvent{
-				Engine: "functional", Kernel: spec.Kernel.Name,
-				Policy: g.Cfg.EU.Policy.String(), Width: spec.Kernel.Width.Lanes(),
-			})
-		}
-		pool := g.threads(0, threadsPerWG)
-		var slm *memory.SLM
-		if prog.UsesSLM() {
-			slm = g.takeSLM()
-			defer g.putSLM(slm)
-		}
-		var steps int64
-		for wg := 0; wg < numWGs; wg++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n, err := g.runWorkgroup(pool, slm, &spec, prog, wg, run, visit, probe, steps)
-			if err != nil {
-				return nil, err
-			}
-			steps += n
-		}
-		if probe != nil {
-			probe.LaunchEnd(steps)
-		}
-		run.Flush()
-		return run, nil
-	}
-
-	// Parallel path: workgroups are claimed dynamically by the pool, each
-	// worker writing into its own shard, so each shard counts a signature
-	// once however many of its workgroups execute it, and reusing the
-	// GPU's thread contexts for its index and one scratchpad; the backing
-	// store runs in shared mode for the duration (per-word atomics make
-	// idempotent overlapping writes and cross-workgroup atomics
-	// well-defined).
-	shards := make([]*stats.Run, workers)
-	errs := make([]error, numWGs)
-	pools := make([][]*eu.Thread, workers)
-	slms := make([]*memory.SLM, workers)
-	for w := range pools {
-		shards[w] = stats.NewRun(spec.Kernel.Name, spec.Kernel.Width.Lanes())
-		pools[w] = g.threads(w, threadsPerWG)
-		if prog.UsesSLM() {
-			slms[w] = g.takeSLM()
-			defer g.putSLM(slms[w])
-		}
-	}
 	if probe != nil {
 		probe.LaunchBegin(obs.LaunchEvent{
-			Engine: "functional-parallel", Kernel: spec.Kernel.Name,
+			Engine: "functional", Kernel: spec.Kernel.Name,
 			Policy: g.Cfg.EU.Policy.String(), Width: spec.Kernel.Width.Lanes(),
 		})
 	}
-	g.Mem.Mem.SetShared(true)
-	var totalSteps int64
-	stepCounts := make([]int64, numWGs)
-	par.ForWorker(workers, numWGs, func(worker, wg int) {
-		if err := ctx.Err(); err != nil {
-			errs[wg] = err
+	if workers > 1 {
+		g.Mem.Mem.SetShared(true)
+		defer g.Mem.Mem.SetShared(false)
+	}
+	par.ForWorker(workers, numWGs, func(w, wg int) {
+		wk := &ws[w]
+		if wk.err != nil {
 			return
 		}
-		// Workgroups run concurrently, so instruction indices are local to
-		// each workgroup; a probe attached here must be safe for concurrent
+		// A worker's instruction indices run on across its workgroups;
+		// a probe attached above one worker must be safe for concurrent
 		// use (obs.Timeline is) and orders events by timestamp at export.
-		stepCounts[wg], errs[wg] = g.runWorkgroup(pools[worker], slms[worker], &spec, prog, wg, shards[worker], nil, probe, 0)
-		shards[worker].Release()
-	})
-	g.Mem.Mem.SetShared(false)
-
-	for wg := 0; wg < numWGs; wg++ {
-		if errs[wg] != nil {
-			return nil, errs[wg]
+		if wk.err = ctx.Err(); wk.err == nil {
+			var n int64
+			n, wk.err = g.runWorkgroup(wk.pool, wk.slm, &spec, prog, wg, wk.run, visit, probe, wk.steps)
+			wk.steps += n
 		}
-		totalSteps += stepCounts[wg]
+		wk.last = wg
+		wk.run.Release()
+	})
+
+	var steps int64
+	var first *functionalWorker
+	for w := range ws {
+		wk := &ws[w]
+		if wk.err != nil && (first == nil || wk.last < first.last) {
+			first = wk
+		}
+		steps += wk.steps
+		if workers > 1 {
+			run.Merge(wk.run)
+		}
 	}
-	for _, shard := range shards {
-		run.Merge(shard)
+	if first != nil {
+		return nil, first.err
 	}
+	run.Flush()
 	if probe != nil {
-		probe.LaunchEnd(totalSteps)
+		probe.LaunchEnd(steps)
 	}
 	return run, nil
+}
+
+// functionalWorker is one functional worker's state across the
+// workgroups it claims: its thread contexts, scratchpad and statistics,
+// the instructions it has stepped, and its first failure.
+type functionalWorker struct {
+	run   *stats.Run
+	pool  []*eu.Thread
+	slm   *memory.SLM
+	steps int64
+	err   error
+	last  int // the last workgroup it ran: the failing one once err is set
 }
 
 // threads returns functional worker w's first n thread contexts, growing

@@ -59,13 +59,14 @@ type Config struct {
 	MaxCycles int64
 
 	// Workers bounds the host worker pool of the functional engine:
-	// RunFunctional shards a launch's workgroups across this many
-	// goroutines. Values below 1 select runtime.GOMAXPROCS(0); 1 forces
-	// serial execution. Parallel runs produce statistics bit-identical to
-	// serial ones (shard fields are order-free integer sums). The timed
-	// cycle-level Run is inherently serial — workgroups contend for EUs
-	// and memory cycle by cycle — and ignores this knob; sweeps
-	// parallelize across whole timed runs instead (internal/experiments).
+	// RunFunctionalCtx shares a launch's workgroups among this many
+	// goroutines, never more than there are workgroups, and runs a launch
+	// with a visitor on one. Values below 1 select runtime.GOMAXPROCS(0).
+	// Every worker count produces bit-identical statistics (shard fields
+	// are order-free integer sums). The timed cycle-level Run is
+	// inherently serial — workgroups contend for EUs and memory cycle by
+	// cycle — and ignores this knob; sweeps parallelize across whole
+	// timed runs instead (internal/experiments).
 	Workers int
 }
 

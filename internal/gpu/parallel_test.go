@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/eu"
 	"intrawarp/internal/isa"
 	"intrawarp/internal/kbuild"
+	"intrawarp/internal/mask"
 	"intrawarp/internal/stats"
 )
 
@@ -112,6 +114,50 @@ func TestParallelMatchesDefaultWorkers(t *testing.T) {
 	}
 }
 
+// TestVisitorKeepsWorkgroupOrder pins the trace-capture contract at any
+// worker count: a visitor sees each workgroup's instructions together,
+// the workgroups in index order, and at Workers 4 the same record stream
+// as at Workers 1. The visitor appends without a lock, so a run that
+// called it from two goroutines also fails under the race detector.
+func TestVisitorKeepsWorkgroupOrder(t *testing.T) {
+	k := atomicDivergentKernel(t)
+	const n, group = 1024, 32
+	type record struct {
+		wg, thread int
+		op         isa.Opcode
+		mask       mask.Mask
+	}
+	capture := func(workers int) []record {
+		g := New(DefaultConfig().WithWorkers(workers))
+		data := make([]uint32, n)
+		for i := range data {
+			data[i] = uint32(i%97 + 1)
+		}
+		spec := LaunchSpec{Kernel: k, GlobalSize: n, GroupSize: group, Args: []uint32{
+			g.AllocU32(n, data), g.AllocU32(n, nil), g.AllocU32(1, nil)}}
+		var recs []record
+		_, err := g.RunFunctionalCtx(context.Background(), spec, func(wg, thread int, res eu.ExecResult) {
+			recs = append(recs, record{wg, thread, res.Instr.Op, res.Mask})
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return recs
+	}
+	one, four := capture(1), capture(4)
+	if len(four) == 0 || four[0].wg != 0 || four[len(four)-1].wg != n/group-1 {
+		t.Fatalf("workers=4: %d records, want workgroups 0 through %d", len(four), n/group-1)
+	}
+	for i := 1; i < len(four); i++ {
+		if d := four[i].wg - four[i-1].wg; d != 0 && d != 1 {
+			t.Fatalf("workers=4: record %d is workgroup %d's, after workgroup %d's", i, four[i].wg, four[i-1].wg)
+		}
+	}
+	if !reflect.DeepEqual(one, four) {
+		t.Fatal("the visitor saw another record stream at Workers 4 than at Workers 1")
+	}
+}
+
 // TestTimedRunIgnoresWorkers documents that the cycle-level simulator is
 // unaffected by the Workers knob: timing interleaves workgroups over
 // shared EUs cycle by cycle and cannot shard.
@@ -141,8 +187,8 @@ func TestTimedRunIgnoresWorkers(t *testing.T) {
 	}
 }
 
-// TestReturnedRunsFlushed pins that the timed engine and both paths of
-// the functional engine hand back runs with nothing left to cost: one
+// TestReturnedRunsFlushed pins that the timed engine and the functional
+// engine, on one worker and on two, hand back runs with nothing left to cost: one
 // more Flush leaves the marshaled run unchanged.
 func TestReturnedRunsFlushed(t *testing.T) {
 	k := atomicDivergentKernel(t)

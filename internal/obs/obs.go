@@ -12,8 +12,8 @@
 // compiled in, and BenchmarkSimulatorThroughput tracks its cycle cost.
 //
 // Engines emit; recorders interpret. A Probe implementation attached to
-// the serial timed engine is driven from one goroutine. The parallel
-// functional engine drives the same probe from every worker, so
+// the serial timed engine is driven from one goroutine. The functional
+// engine above one worker drives the same probe from every worker, so
 // implementations that may be attached there must be safe for concurrent
 // use (Timeline is).
 package obs
@@ -50,7 +50,7 @@ type Probe interface {
 
 // LaunchEvent describes one engine run.
 type LaunchEvent struct {
-	Engine string // "timed", "functional", "functional-parallel", "trace-replay"
+	Engine string // "timed", "functional" (at any worker count), "trace-replay"
 	Kernel string
 	Policy string
 	Width  int // kernel SIMD width in lanes

@@ -161,11 +161,12 @@ func TestTimelineMonotonicPerTrack(t *testing.T) {
 }
 
 // TestTimelineConcurrentUse drives one run from many goroutines (the
-// parallel functional engine's shape) under the race detector.
+// shape of the functional engine above one worker) under the race
+// detector.
 func TestTimelineConcurrentUse(t *testing.T) {
 	tl := NewTimeline()
 	r := tl.Run("par")
-	r.LaunchBegin(LaunchEvent{Engine: "functional-parallel", Kernel: "k", Width: 16})
+	r.LaunchBegin(LaunchEvent{Engine: "functional", Kernel: "k", Width: 16})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -23,13 +23,6 @@ type flight struct {
 	// stages. Written only by the leader before done closes; waiters read
 	// it after <-done, which orders the accesses.
 	stages stageRecord
-
-	// cells holds a sweep group flight's result: every policy cell's
-	// encoded /v1/run response body, keyed by policy name. Group flights
-	// carry their cells here rather than relying on the LRU cache, which
-	// could evict an entry between the flight retiring and a waiter
-	// reading it. Written only by the leader before done closes.
-	cells map[string][]byte
 }
 
 // flightGroup coalesces concurrent identical requests onto one flight.

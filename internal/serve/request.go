@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/experiments"
@@ -42,12 +43,13 @@ type RunRequest struct {
 	// Timeline embeds a Chrome-trace/Perfetto timeline of the run in the
 	// response (also settable as ?timeline=1 on the request URL). It
 	// changes the response bytes, so unlike Workers it is part of the
-	// cache key; timeline runs force the serial functional engine so the
-	// recorded event stream is deterministic.
+	// cache key; timeline runs put the functional engine on one worker so
+	// the recorded event stream is deterministic.
 	Timeline bool `json:"timeline,omitempty"`
-	// Workers bounds the functional engine's worker pool. It is a
-	// scheduling knob — results are bit-identical at any worker count —
-	// so it is excluded from the cache key.
+	// Workers bounds the functional engine's worker pool, at most
+	// GOMAXPROCS. It is a scheduling knob — results are bit-identical at
+	// any worker count — so it is neither echoed nor part of the cache
+	// key.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -80,26 +82,34 @@ func (r *RunRequest) normalize() error {
 	if r.DCLinesPerCycle == 0 {
 		r.DCLinesPerCycle = 1
 	}
-	if r.Workers < 0 {
-		r.Workers = 0
-	}
+	r.Workers = clampWorkers(r.Workers)
 	return nil
 }
 
-// key is the content address of the canonicalized request. Workers is
-// zeroed first: it never changes the result bytes, only the wall-clock.
-func (r RunRequest) key() string {
+// echo is the canonicalized request as its response echoes it and its
+// key hashes it: without Workers, which never changes the result bytes,
+// only the wall-clock.
+func (r RunRequest) echo() RunRequest {
 	r.Workers = 0
-	return hashJSON("run", r)
+	return r
 }
+
+// key is the content address of the canonicalized request.
+func (r RunRequest) key() string { return hashJSON("run", r.echo()) }
+
+// clampWorkers bounds a request's worker knob to [0, GOMAXPROCS]: a
+// worker past the host's processors adds a thread pool and a scratchpad
+// but no speed.
+func clampWorkers(k int) int { return min(max(k, 0), runtime.GOMAXPROCS(0)) }
 
 // ExperimentRequest asks for one paper table/figure rendering, or the
 // whole suite with ID "all".
 type ExperimentRequest struct {
 	ID    string `json:"id"`
 	Quick bool   `json:"quick,omitempty"`
-	// Workers bounds the experiment cell pool; excluded from the cache
-	// key (output is byte-identical at any worker count).
+	// Workers bounds the experiment cell pool, at most GOMAXPROCS;
+	// neither echoed nor part of the cache key (output is byte-identical
+	// at any worker count).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -112,16 +122,17 @@ func (r *ExperimentRequest) normalize() error {
 			return err
 		}
 	}
-	if r.Workers < 0 {
-		r.Workers = 0
-	}
+	r.Workers = clampWorkers(r.Workers)
 	return nil
 }
 
-func (r ExperimentRequest) key() string {
+// echo is RunRequest.echo for experiments.
+func (r ExperimentRequest) echo() ExperimentRequest {
 	r.Workers = 0
-	return hashJSON("experiment", r)
+	return r
 }
+
+func (r ExperimentRequest) key() string { return hashJSON("experiment", r.echo()) }
 
 // SweepRequest asks for a grid of functional runs — the cross product
 // of workloads × policies × SIMD widths × sizes — streamed back as
@@ -246,8 +257,7 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 // group's one execution) and the worker knob (never part of any key).
 func (r RunRequest) groupKey() string {
 	r.Policy = ""
-	r.Workers = 0
-	return hashJSON("sweepgroup", r)
+	return hashJSON("sweepgroup", r.echo())
 }
 
 // hashJSON content-addresses a canonicalized request. encoding/json

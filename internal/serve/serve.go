@@ -86,10 +86,15 @@ func (c Config) withDefaults() Config {
 }
 
 // response is one computed API result: the exact bytes every current
-// and future client of this content address receives.
+// and future client of this content address receives. A sweep group's
+// flight returns cells instead: every policy cell's /v1/run body, keyed
+// by policy name. It carries them itself rather than relying on the LRU
+// cache, which could evict an entry between the flight retiring and a
+// waiter reading it.
 type response struct {
 	status int
 	body   []byte
+	cells  map[string][]byte
 }
 
 // Server is the simulator's HTTP front end. It implements http.Handler;
@@ -211,10 +216,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveCached is the common request path: result cache, then flight
-// coalescing, then bounded admission into a run slot. Every exit goes
-// through finish/finishError so each request gets its trace headers,
-// latency observation, and structured log line.
+// serveCached is the unary request path: the result cache, then a
+// flight whose leader re-checks the cache and runs fn in a run slot that
+// sheds load. Every exit goes through finish/finishError so each request
+// gets its trace headers, latency observation, and structured log line.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, tr *requestTrace, route, key string,
 	fn func(context.Context) (*response, error)) {
 	s.met.requests.Add(1)
@@ -228,60 +233,75 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, tr *request
 	}
 	s.met.cacheMiss.Add(1)
 
-	reqCtx := r.Context()
+	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		reqCtx, cancel = context.WithTimeout(reqCtx, s.cfg.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
+	waitStart := time.Now()
+	f := s.await(ctx, key, func(runCtx context.Context) (*response, error) {
+		// Re-check under the flight: a request that missed the cache
+		// just before an identical flight retired lands here after
+		// that flight already published its result.
+		if body, ok := s.cache.get(key); ok {
+			return &response{status: http.StatusOK, body: body}, nil
+		}
+		resp, err := s.admitted(runCtx, true, fn)
+		if err == nil && resp.status == http.StatusOK {
+			s.cache.add(key, resp.body)
+		}
+		return resp, err
+	})
+	tr.add("wait", time.Since(waitStart))
+	if f == nil {
+		s.met.cancelled.Add(1)
+		s.finishError(w, tr, route, http.StatusGatewayTimeout, ctx.Err())
+		return
+	}
+	// The leader's inner stages are set before done closes; surface them
+	// on every coalesced waiter too — they paid the same wait.
+	tr.add("queue", f.stages.Queue)
+	tr.add("run", f.stages.Run)
+	tr.add("encode", f.stages.Encode)
+	if f.err != nil {
+		s.finishError(w, tr, route, flightStatus(f.err), f.err)
+		return
+	}
+	s.finish(w, tr, route, "miss", f.result)
+}
 
+// await joins key's flight, leading it when none is in progress: the
+// leader runs fn on its own goroutine, under the flight's run context
+// with the flight's stage record attached. await then waits for the
+// flight to retire or for ctx to end, whichever comes first, and leaves
+// the flight, which cancels it when this was its last waiter. It returns
+// the retired flight, or nil when ctx ended first.
+func (s *Server) await(ctx context.Context, key string, fn func(context.Context) (*response, error)) *flight {
 	f, leader, runCtx := s.flights.join(key, s.base)
+	defer s.flights.leave(key, f)
 	if leader {
-		go s.flights.run(key, f, func() (*response, error) {
-			// Re-check under the flight: a request that missed the cache
-			// just before an identical flight retired lands here after
-			// that flight already published its result.
-			if body, ok := s.cache.get(key); ok {
-				return &response{status: http.StatusOK, body: body}, nil
-			}
-			resp, err := s.admitted(withStages(runCtx, &f.stages), fn)
-			if err == nil && resp.status == http.StatusOK {
-				s.cache.add(key, resp.body)
-			}
-			return resp, err
-		})
+		go s.flights.run(key, f, func() (*response, error) { return fn(withStages(runCtx, &f.stages)) })
 	} else {
 		s.met.coalesced.Add(1)
 	}
-
-	waitStart := time.Now()
 	select {
 	case <-f.done:
-		tr.add("wait", time.Since(waitStart))
-		// The leader's inner stages are set before done closes; surface
-		// them on every coalesced waiter too — they paid the same wait.
-		tr.add("queue", f.stages.Queue)
-		tr.add("run", f.stages.Run)
-		tr.add("encode", f.stages.Encode)
-		s.flights.leave(key, f)
-		if f.err != nil {
-			// Cancellation reached the flight only because every waiter
-			// (or the whole server) went away; any waiter still here
-			// raced the shutdown and gets a retryable 503.
-			status := http.StatusInternalServerError
-			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-				status = http.StatusServiceUnavailable
-			}
-			s.finishError(w, tr, route, status, f.err)
-			return
-		}
-		s.finish(w, tr, route, "miss", f.result)
-	case <-reqCtx.Done():
-		tr.add("wait", time.Since(waitStart))
-		s.flights.leave(key, f)
-		s.met.cancelled.Add(1)
-		s.finishError(w, tr, route, http.StatusGatewayTimeout, reqCtx.Err())
+		return f
+	case <-ctx.Done():
+		return nil
 	}
+}
+
+// flightStatus is the status a failed flight's waiters get. Cancellation
+// reached the flight only because every waiter (or the whole server)
+// went away; any waiter still here raced the shutdown and gets a
+// retryable 503. Any other failure is a 500.
+func flightStatus(err error) int {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // finish sends a computed result with the request's trace headers, then
@@ -312,10 +332,11 @@ func (s *Server) finishError(w http.ResponseWriter, tr *requestTrace, route stri
 // errQueueFull sheds load once MaxQueue flights are already waiting.
 var errQueueFull = errors.New("admission queue full, retry later")
 
-// admitted runs fn under a concurrency slot, rejecting when the wait
-// queue is over budget.
-func (s *Server) admitted(ctx context.Context, fn func(context.Context) (*response, error)) (*response, error) {
-	if depth := s.met.queueDepth.Add(1); depth > int64(s.cfg.MaxQueue) {
+// admitted runs fn in one of the Concurrency run slots, counting in
+// queue_depth while it waits for one. With shed set it answers 429
+// instead once MaxQueue requests are already waiting.
+func (s *Server) admitted(ctx context.Context, shed bool, fn func(context.Context) (*response, error)) (*response, error) {
+	if depth := s.met.queueDepth.Add(1); shed && depth > int64(s.cfg.MaxQueue) {
 		s.met.queueDepth.Add(-1)
 		s.met.rejected.Add(1)
 		return &response{status: http.StatusTooManyRequests,
@@ -370,9 +391,9 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, er
 	if req.Timeline {
 		tl = obs.NewTimeline()
 		cfg.EU.Probe = tl.Run(req.Workload + "/" + req.Policy)
-		// Responses are content-addressed: force the serial functional
-		// engine so the recorded event order — and therefore the cached
-		// bytes — never depends on worker scheduling.
+		// Responses are content-addressed: run the functional engine on
+		// one worker so the recorded event order — and therefore the
+		// cached bytes — never depends on worker scheduling.
 		cfg.Workers = 1
 	}
 	runStart := time.Now()
@@ -393,7 +414,7 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, er
 			return nil, err
 		}
 	}
-	body, err := encodeRunPayload(req, run.Report(), tlBody)
+	body, err := encodeRunPayload(*req, run.Report(), tlBody)
 	if err != nil {
 		return nil, err
 	}
@@ -405,13 +426,14 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, er
 // sweep endpoint encodes every cell through the same function, which is
 // what makes a streamed sweep cell byte-identical to the corresponding
 // single-run response — and lets the two share one content-addressed
-// cache entry.
-func encodeRunPayload(req *RunRequest, report any, timeline json.RawMessage) ([]byte, error) {
+// cache entry. The request echoes as key hashes it (RunRequest.echo), so
+// a cached body never carries its first caller's Workers.
+func encodeRunPayload(req RunRequest, report any, timeline json.RawMessage) ([]byte, error) {
 	return json.Marshal(struct {
-		Request  *RunRequest     `json:"request"`
+		Request  RunRequest      `json:"request"`
 		Report   any             `json:"report"`
 		Timeline json.RawMessage `json:"timeline,omitempty"`
-	}{req, report, timeline})
+	}{req.echo(), report, timeline})
 }
 
 // observeRun records a completed engine run's latency (and, for workload
@@ -455,9 +477,9 @@ func (s *Server) executeExperiment(ctx context.Context, req *ExperimentRequest) 
 
 	encStart := time.Now()
 	body, err := json.Marshal(struct {
-		Request *ExperimentRequest `json:"request"`
-		Output  string             `json:"output"`
-	}{req, buf.String()})
+		Request ExperimentRequest `json:"request"`
+		Output  string            `json:"output"`
+	}{req.echo(), buf.String()})
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -464,5 +465,55 @@ func TestRequestKeyNormalization(t *testing.T) {
 	}
 	if (ExperimentRequest{ID: "fig10"}).key() == e2.key() {
 		t.Error("quick flag missing from the experiment key")
+	}
+}
+
+// TestNormalizeClampsWorkers pins the worker knob of both unary
+// endpoints to [0, GOMAXPROCS]: a request cannot size the host's worker
+// pools, and the thread contexts and scratchpads each worker holds,
+// past its processors.
+func TestNormalizeClampsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ in, want int }{
+		{-3, 0}, {0, 0}, {1, 1}, {procs, procs}, {procs + 1, procs}, {4096, procs},
+	} {
+		run := RunRequest{Workload: "bsearch", Workers: tc.in}
+		exp := ExperimentRequest{ID: "table3", Workers: tc.in}
+		if err := run.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if run.Workers != tc.want || exp.Workers != tc.want {
+			t.Errorf("workers %d normalized to %d (run) and %d (experiment), want %d",
+				tc.in, run.Workers, exp.Workers, tc.want)
+		}
+	}
+}
+
+// TestCachedBodyOmitsWorkers pins that the worker knob never reaches the
+// result bytes: a request that sets workers, and the cache hit a later
+// request without it gets, both answer with the bytes a fresh server
+// computes for the request without workers, on /v1/run and
+// /v1/experiment alike.
+func TestCachedBodyOmitsWorkers(t *testing.T) {
+	for _, tc := range []struct{ path, with, without string }{
+		{"/v1/run", `{"workload":"bsearch","workers":3}`, `{"workload":"bsearch"}`},
+		{"/v1/experiment", `{"id":"table3","workers":3}`, `{"id":"table3"}`},
+	} {
+		_, ts := newTestServer(t, Config{})
+		_, first := post(t, ts, tc.path, tc.with)
+		resp, hit := post(t, ts, tc.path, tc.without)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+			t.Fatalf("%s: status %d, X-Cache %q, want a 200 hit: %s",
+				tc.path, resp.StatusCode, resp.Header.Get("X-Cache"), hit)
+		}
+		_, fresh := newTestServer(t, Config{})
+		_, want := post(t, fresh, tc.path, tc.without)
+		if !bytes.Equal(first, want) || !bytes.Equal(hit, want) {
+			t.Errorf("%s: bytes depend on the first caller's workers\nfirst: %.200s\nhit:   %.200s\nfresh: %.200s",
+				tc.path, first, hit, want)
+		}
 	}
 }

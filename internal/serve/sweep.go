@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -31,10 +30,11 @@ import (
 // Cells are served from the same content-addressed cache as /v1/run;
 // misses are grouped by everything but policy, each group coalesced
 // onto one flight that performs a single trace-capturing execution
-// whose run serves every policy cell. Group flights acquire the same run
-// slots as unary requests but bypass the admission queue's depth bound:
-// a sweep already bounds its own fan-out (at most Concurrency groups in
-// flight) and its cells must not be 429-shed one by one mid-stream.
+// whose run serves every policy cell. Group flights wait for a run slot
+// through the same admission as unary requests, counting in queue_depth,
+// but are never shed: a sweep already bounds its own fan-out (at most
+// Concurrency groups in flight) and its cells must not be 429-shed one
+// by one mid-stream.
 // Client disconnection stops the sweep: unscheduled groups never start,
 // and an in-flight group whose last waiter left is cancelled at its
 // next workgroup boundary without publishing anything to the cache.
@@ -248,129 +248,78 @@ dispatch:
 	}
 }
 
-// serveSweepGroup coalesces one group onto a flight (shared with any
+// serveSweepGroup serves one group through a flight (shared with any
 // concurrent sweep asking for the same group) and streams its cells.
 func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepGroup) {
-	f, leader, runCtx := s.flights.join(g.key, s.base)
-	if leader {
-		go s.flights.run(g.key, f, func() (*response, error) {
-			cells, err := s.executeSweepGroup(withStages(runCtx, &f.stages), g)
-			f.cells = cells
-			return nil, err
-		})
-	} else {
-		s.met.coalesced.Add(1)
-	}
-	select {
-	case <-f.done:
-		s.flights.leave(g.key, f)
-		if f.err != nil {
-			status := http.StatusInternalServerError
-			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
-				status = http.StatusServiceUnavailable
+	f := s.await(ctx, g.key, func(runCtx context.Context) (*response, error) {
+		// Re-check under the flight (cf. serveCached): every cell of this
+		// group may have been published while the group waited to start.
+		cells := make(map[string][]byte, compaction.NumPolicies)
+		for _, p := range compaction.Policies {
+			body, ok := s.cache.get(g.cell(p).key())
+			if !ok {
+				return s.admitted(runCtx, false, func(ctx context.Context) (*response, error) {
+					return s.executeSweepGroup(ctx, g)
+				})
 			}
-			for _, cell := range g.cells {
-				st.fail(cell, status, f.err)
-			}
-			return
+			cells[p.String()] = body
 		}
+		return &response{status: http.StatusOK, cells: cells}, nil
+	})
+	switch {
+	case f == nil:
+		// Client gone or deadline hit: the flight is left (and cancelled
+		// if this was its last waiter); emit nothing.
+	case f.err != nil:
+		for _, cell := range g.cells {
+			st.fail(cell, flightStatus(f.err), f.err)
+		}
+	default:
 		if f.stages.Run > 0 {
 			// The flight executed (rather than finding every cell already
 			// cached on its re-check).
 			st.executed()
 		}
 		for _, cell := range g.cells {
-			body, ok := f.cells[cell.Policy]
-			if !ok {
-				st.fail(cell, http.StatusInternalServerError,
-					fmt.Errorf("group flight produced no %s cell", cell.Policy))
-				continue
-			}
-			st.cell(body, false)
+			st.cell(f.result.cells[cell.Policy], false)
 		}
-	case <-ctx.Done():
-		// Client gone or deadline hit: leave the flight (cancelling it if
-		// we were the last waiter) and emit nothing.
-		s.flights.leave(g.key, f)
 	}
 }
 
-// executeSweepGroup is the group flight's body: one trace-capturing
-// functional execution under a run slot (experiments.ExecuteGroup),
-// then every policy cell of its run encoded exactly as /v1/run encodes
-// it and published to the shared result cache. Unlike admitted() there
-// is no queue-depth shedding — the sweep endpoint bounds its own
-// concurrency — but slot contention, in-flight accounting, and stage
-// attribution are identical.
-func (s *Server) executeSweepGroup(ctx context.Context, g *sweepGroup) (map[string][]byte, error) {
-	// Re-check under the flight (cf. serveCached): every cell of this
-	// group may have been published while the group waited to start.
-	out := make(map[string][]byte, compaction.NumPolicies)
-	cached := true
-	for _, p := range compaction.Policies {
-		body, ok := s.cache.get(g.cell(p).key())
-		if !ok {
-			cached = false
-			break
-		}
-		out[p.String()] = body
-	}
-	if cached {
-		return out, nil
-	}
-
-	queueStart := time.Now()
-	select {
-	case s.slots <- struct{}{}:
-		wait := time.Since(queueStart)
-		s.met.queueWait.observe(wait.Seconds())
-		if rec := stagesFrom(ctx); rec != nil {
-			rec.Queue = wait
-		}
-	case <-ctx.Done():
-		s.met.cancelled.Add(1)
-		return nil, ctx.Err()
-	}
-	s.met.inFlight.Add(1)
-	defer func() {
-		s.met.inFlight.Add(-1)
-		<-s.slots
-	}()
-
-	s.met.simRuns.Add(1)
+// executeSweepGroup is a group flight's run: one trace-capturing
+// functional execution (experiments.ExecuteGroup), then every policy
+// cell of its run encoded exactly as /v1/run encodes it and published
+// to the shared result cache.
+func (s *Server) executeSweepGroup(ctx context.Context, g *sweepGroup) (*response, error) {
 	runStart := time.Now()
 	res, err := experiments.ExecuteGroup(ctx, g.spec)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.met.cancelled.Add(1)
-		} else {
-			s.met.errors.Add(1)
-		}
 		return nil, err
 	}
 	s.met.sweepExecutions.Add(1)
 	s.observeRun(ctx, runStart, res.Base.SIMDEfficiency(), true)
 
 	encStart := time.Now()
+	cells := make(map[string][]byte, compaction.NumPolicies)
 	for _, p := range compaction.Policies {
 		cell := g.cell(p)
 		body, err := encodeRunPayload(cell, res.Runs[p].Report(), nil)
 		if err != nil {
 			return nil, err
 		}
-		out[p.String()] = body
+		cells[p.String()] = body
 		s.cache.add(cell.key(), body)
 	}
 	s.observeEncode(ctx, encStart)
-	return out, nil
+	return &response{status: http.StatusOK, cells: cells}, nil
 }
 
 // cell is the canonical request of policy p's cell in the group — the
 // request whose /v1/run response the cell's stream line is: the group's
 // first missed cell under policy p. The group's cells differ only in
 // policy, and the memory fields a cell echoes and keys on come from it.
-func (g *sweepGroup) cell(p compaction.Policy) *RunRequest {
+func (g *sweepGroup) cell(p compaction.Policy) RunRequest {
 	cell := *g.cells[0]
 	cell.Policy = p.String()
-	return &cell
+	return cell
 }

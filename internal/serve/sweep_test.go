@@ -404,3 +404,60 @@ func TestSweepWidthAxisOverHTTP(t *testing.T) {
 		t.Errorf("width axis not covered: %v", widths)
 	}
 }
+
+// TestSweepGroupsAdmittedNotShed holds the single run slot with a slow
+// /v1/run and starts a sweep behind it. The waiting group counts in
+// queue_depth, as a unary flight does, so a further distinct /v1/run
+// finds the one-deep queue full and is shed with 429; the group itself
+// is never shed, and once the slot frees it streams every cell.
+func TestSweepGroupsAdmittedNotShed(t *testing.T) {
+	_, ts := newTestServer(t, Config{Concurrency: 1, MaxQueue: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run",
+			bytes.NewBufferString(`{"workload":"bsearch","timed":true,"size":600000}`))
+		req.Header.Set("Content-Type", "application/json")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitMetrics(t, ts, 5*time.Second, func(m map[string]int64) bool { return m["in_flight"] == 1 })
+
+	swept := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+			bytes.NewBufferString(`{"workloads":["bsearch"],"sizes":[300]}`))
+		if err != nil {
+			resp = nil
+		}
+		swept <- resp
+	}()
+	waitMetrics(t, ts, 5*time.Second, func(m map[string]int64) bool {
+		return m["in_flight"] == 1 && m["queue_depth"] == 1
+	})
+	resp, data := post(t, ts, "/v1/run", `{"workload":"bsearch","timed":true,"size":600001}`)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d (%s), want 429 behind the waiting sweep group", resp.StatusCode, data)
+	}
+
+	cancel() // release the slot
+	<-held
+	sresp := <-swept
+	if sresp == nil {
+		t.Fatal("POST /v1/sweep failed")
+	}
+	defer sresp.Body.Close()
+	results, errLines, sum := readSweep(t, sresp.Body)
+	if len(errLines) != 0 {
+		t.Fatalf("sweep streamed error lines: %s", errLines)
+	}
+	if len(results) != 7 || !sum.Complete || sum.Executions != 1 {
+		t.Fatalf("sweep streamed %d result lines, summary %+v; want 7 cells from 1 execution", len(results), sum)
+	}
+	if m := scrapeMetrics(t, ts); m["rejected_total"] != 1 || m["queue_depth"] != 0 {
+		t.Errorf("rejected_total = %d, queue_depth = %d; want 1 and 0", m["rejected_total"], m["queue_depth"])
+	}
+}

@@ -116,8 +116,9 @@ type ExecOptions struct {
 	SkipVerify bool
 	// Visit observes every functionally executed instruction across all
 	// of the workload's launches (trace capture, differential
-	// verification). A non-nil visitor forces the serial functional
-	// engine and is ignored by timed runs.
+	// verification). A non-nil visitor runs every functional launch on
+	// one worker, so it sees the instructions in workgroup order; timed
+	// runs ignore it.
 	Visit gpu.InstrVisitor
 }
 
