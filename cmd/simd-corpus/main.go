@@ -45,7 +45,6 @@ func main() {
 		profile   = flag.String("profile", "all", "generator profile, comma-separated list, or \"all\"")
 		verify    = flag.Bool("verify", false, "run every kernel through the full differential pipeline (all engines x all policies)")
 		emitWorst = flag.String("emit-worst", "", "on divergence, write the minimized repro test to this file")
-		workers   = flag.Int("workers", 0, "parallel-engine pool size during -verify (<2 selects 4)")
 	)
 	flag.Parse()
 
@@ -97,7 +96,6 @@ func main() {
 			Profile: prof, Seed: *seed, Lo: 0, Hi: n,
 			Oracle: oracle.Options{
 				Timed:   true,
-				Workers: *workers,
 				Observe: func(_ *workloads.Spec, serial *stats.Run) { instrs += serial.Instructions },
 			},
 		})

@@ -12,6 +12,7 @@
 // Endpoints:
 //
 //	POST /v1/run         execute one workload          {"workload":"bfs","timed":true,...}
+//	POST /v1/sweep       stream a policy-sweep grid    {"workloads":["bsearch","urng"],...}
 //	POST /v1/experiment  render a paper table/figure   {"id":"fig10","quick":true}
 //	GET  /v1/workloads   list the benchmark suite
 //	GET  /v1/experiments list the experiment registry

@@ -32,12 +32,11 @@ func main() {
 		quick   = flag.Bool("quick", false, "shrink problem sizes to the quick sweep set")
 		names   = flag.String("workloads", "", "comma-separated workload subset (default: all)")
 		timed   = flag.Bool("timed", false, "also cross-check the cycle-level engine under every policy")
-		workers = flag.Int("workers", 0, "parallel-engine pool size (<2 selects 4)")
 		verbose = flag.Bool("v", false, "print one line per verified workload")
 	)
 	flag.Parse()
 
-	opts := oracle.Options{Quick: *quick, Timed: *timed, Workers: *workers}
+	opts := oracle.Options{Quick: *quick, Timed: *timed}
 	if *verbose {
 		opts.Progress = os.Stdout
 	}

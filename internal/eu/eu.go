@@ -296,10 +296,12 @@ func (e *EU) issue(ti int, now int64) {
 		e.readyAt[ti] = now + int64(e.Cfg.JumpPenalty)
 	}
 
+	// The issue event's pipe occupancy: one cycle from now unless the
+	// pipe's branch below sets it.
+	start, cycles := now, int64(1)
 	switch res.Pipe {
 	case isa.PipeFPU, isa.PipeEM:
-		cycles := int64(e.Cfg.Policy.Cycles(res.Mask, res.Width, res.Group))
-		start := now
+		cycles = int64(e.Cfg.Policy.Cycles(res.Mask, res.Width, res.Group))
 		if e.pipeFree[res.Pipe] > start {
 			start = e.pipeFree[res.Pipe]
 		}
@@ -321,14 +323,6 @@ func (e *EU) issue(ti int, now int64) {
 			}
 		}
 
-		if e.probe != nil {
-			e.probe.InstrIssued(obs.IssueEvent{
-				EU: e.ID, Thread: ti, Cycle: now, Start: start, Cycles: cycles,
-				Op: in.Op.String(), Pipe: uint8(res.Pipe),
-				Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
-			})
-		}
-
 		ev := wbEvent{at: start + int64(e.Cfg.PipeDepth) + cycles, thread: ti, flag: d.setFlag}
 		if d.hasResv {
 			ev.dst, ev.hasDst = d.resv, true
@@ -346,25 +340,12 @@ func (e *EU) issue(ti int, now int64) {
 		switch {
 		case res.IsBarrier:
 			// Thread parked; the GPU releases the workgroup.
-			if e.probe != nil {
-				e.probe.InstrIssued(obs.IssueEvent{
-					EU: e.ID, Thread: ti, Cycle: now, Start: now, Cycles: 1,
-					Op: in.Op.String(), Pipe: uint8(res.Pipe),
-					Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
-				})
-			}
 		case res.Instr.Send.IsSLM() || (res.Instr.Send == isa.SendNone && res.Instr.Op == isa.OpFence):
 			ready := now + 1
 			if len(res.SLMOffsets) > 0 {
 				ready = e.mem.SLMReady(th.SLM, res.SLMOffsets, now)
 			}
-			if e.probe != nil {
-				e.probe.InstrIssued(obs.IssueEvent{
-					EU: e.ID, Thread: ti, Cycle: now, Start: now, Cycles: ready - now,
-					Op: in.Op.String(), Pipe: uint8(res.Pipe),
-					Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
-				})
-			}
+			cycles = ready - now
 			e.scheduleSendWB(ti, d, ready)
 		default:
 			// Global memory: enqueue the coalesced lines; the destination
@@ -375,11 +356,6 @@ func (e *EU) issue(ti int, now int64) {
 				c.dst, c.hasDst = d.resv, true
 			}
 			if e.probe != nil {
-				e.probe.InstrIssued(obs.IssueEvent{
-					EU: e.ID, Thread: ti, Cycle: now, Start: now, Cycles: 1,
-					Op: in.Op.String(), Pipe: uint8(res.Pipe),
-					Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
-				})
 				c.issued, c.lines = now, len(res.Lines)
 			}
 			// Stores consume data-cluster bandwidth but retire immediately
@@ -387,6 +363,13 @@ func (e *EU) issue(ti int, now int64) {
 			e.outstanding[ti]++
 			e.mem.RequestLines(res.Lines, now, c)
 		}
+	}
+	if e.probe != nil {
+		e.probe.InstrIssued(obs.IssueEvent{
+			EU: e.ID, Thread: ti, Cycle: now, Start: start, Cycles: cycles,
+			Op: in.Op.String(), Pipe: uint8(res.Pipe),
+			Active: res.Mask.Trunc(res.Width).PopCount(), Width: res.Width,
+		})
 	}
 }
 

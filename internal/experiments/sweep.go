@@ -26,8 +26,10 @@ import (
 // replay of the execution's captured mask trace must reproduce its
 // accounting exactly (stats.MaskCountsEqual), and Verify also checks
 // that trace record by record against the independent oracle model. The
-// CLI sweep (simd-bench -sweep) and POST /v1/sweep both sit on
-// ExecuteGroup.
+// CLI sweep (simd-bench -sweep) sits on ExecuteGroup; POST /v1/sweep
+// (internal/serve) runs the same one execution per group without
+// capturing a trace, since the execution's own accounting already holds
+// every policy's cost.
 
 // ResolveSpec returns the workload compiled at the given SIMD width in
 // lanes; width 0 selects the native kernel. Non-zero widths are only

@@ -223,9 +223,6 @@ func (b *Builder) Mul(dst, s0, s1 isa.Operand) { b.op(isa.OpMul, isa.F32, dst, s
 // MulU computes dst = s0 * s1 (u32).
 func (b *Builder) MulU(dst, s0, s1 isa.Operand) { b.op(isa.OpMul, isa.U32, dst, s0, s1, isa.Null) }
 
-// MulS computes dst = s0 * s1 (s32).
-func (b *Builder) MulS(dst, s0, s1 isa.Operand) { b.op(isa.OpMul, isa.S32, dst, s0, s1, isa.Null) }
-
 // Mad computes dst = s0*s1 + s2 (f32 FMA).
 func (b *Builder) Mad(dst, s0, s1, s2 isa.Operand) { b.op(isa.OpMad, isa.F32, dst, s0, s1, s2) }
 
@@ -323,12 +320,6 @@ func (b *Builder) Sel(f isa.FlagReg, dst, s0, s1 isa.Operand) {
 // If opens a conditional block executing lanes where flag f is set.
 func (b *Builder) If(f isa.FlagReg) {
 	idx := b.Emit(isa.Instruction{Op: isa.OpIf, Pred: isa.PredNorm, Flag: f})
-	b.ctl = append(b.ctl, ctlFrame{kind: ctlIf, ifIdx: idx, elseIdx: -1})
-}
-
-// IfNot opens a conditional block executing lanes where flag f is clear.
-func (b *Builder) IfNot(f isa.FlagReg) {
-	idx := b.Emit(isa.Instruction{Op: isa.OpIf, Pred: isa.PredInv, Flag: f})
 	b.ctl = append(b.ctl, ctlFrame{kind: ctlIf, ifIdx: idx, elseIdx: -1})
 }
 

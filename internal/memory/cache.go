@@ -56,9 +56,6 @@ func (c *Cache) build() {
 // Fig. 12).
 func (c *Cache) SetPerfect(p bool) { c.perfect = p }
 
-// Latency returns the lookup latency in cycles.
-func (c *Cache) Latency() int { return c.latency }
-
 // set returns the set index for a line address.
 func (c *Cache) set(line uint32) int { return int(line/LineBytes) % c.sets }
 

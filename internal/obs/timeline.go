@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -328,19 +329,6 @@ func (r *TimelineRun) WorkgroupRetired(wg int, cycle int64) {
 		Args: map[string]int{"workgroups": r.occupancy}})
 }
 
-// Events returns the number of recorded events across all runs.
-func (t *Timeline) Events() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, r := range t.runs {
-		r.mu.Lock()
-		n += len(r.events)
-		r.mu.Unlock()
-	}
-	return n
-}
-
 // traceDoc is the Chrome-trace JSON envelope.
 type traceDoc struct {
 	TraceEvents     []tev  `json:"traceEvents"`
@@ -394,18 +382,9 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 
 // JSON returns the rendered timeline document.
 func (t *Timeline) JSON() ([]byte, error) {
-	var buf jsonBuffer
+	var buf bytes.Buffer
 	if err := t.WriteJSON(&buf); err != nil {
 		return nil, err
 	}
-	return buf.b, nil
-}
-
-// jsonBuffer is a minimal io.Writer over a byte slice (avoids pulling
-// bytes.Buffer into the package's public surface for one method).
-type jsonBuffer struct{ b []byte }
-
-func (j *jsonBuffer) Write(p []byte) (int, error) {
-	j.b = append(j.b, p...)
-	return len(p), nil
+	return buf.Bytes(), nil
 }

@@ -232,7 +232,7 @@ func TestUnrunnableSizeIsAnErrorNotACrash(t *testing.T) {
 		t.Errorf("dct8 at size 17: status %d, envelope %+v; want 500 with the size error", resp.StatusCode, e.Error)
 	}
 	req := RunRequest{Workload: "dct8", Size: 17}
-	if err := req.normalize(); err != nil {
+	if _, err := req.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := api.cache.get(req.key()); ok {
@@ -261,26 +261,47 @@ func TestUnrunnableSizeIsAnErrorNotACrash(t *testing.T) {
 	}
 }
 
-// TestFlightPanicBecomesError runs a flight whose computation panics: the
-// waiter sees the panic as the flight's error, the flight retires, and
-// the next request for the key leads a fresh flight.
+// TestFlightPanicBecomesError runs a simulation that panics through a
+// server's flight and run slot: the waiter sees the panic as the
+// flight's error and a 500, errors_total and simulations_total count the
+// run once, the run slot and both gauges are released, and the flight
+// retires, so the next request for the key leads a fresh flight.
 func TestFlightPanicBecomesError(t *testing.T) {
-	g := newFlightGroup()
-	f, leader, _ := g.join("k", context.Background())
-	if !leader {
-		t.Fatal("first join did not lead")
+	s := New(Config{Concurrency: 1})
+	defer s.Close()
+	f := s.await(context.Background(), "k", func(ctx context.Context) (*response, error) {
+		return s.admitted(ctx, true, func(context.Context) (*response, error) { panic("engine bug") })
+	})
+	if f == nil {
+		t.Fatal("await returned no flight")
 	}
-	go g.run("k", f, func() (*response, error) { panic("engine bug") })
-	<-f.done
-	g.leave("k", f)
 	if f.result != nil || f.err == nil || !strings.Contains(f.err.Error(), "engine bug") {
 		t.Errorf("panicked flight: result %v, err %v; want no result and the panic as the error", f.result, f.err)
 	}
-	f2, leader, _ := g.join("k", context.Background())
+	if status := flightStatus(f.err); status != http.StatusInternalServerError {
+		t.Errorf("panicked flight answers %d, want 500", status)
+	}
+	for name, c := range map[string]struct{ got, want int64 }{
+		"errors_total":      {s.met.errors.Load(), 1},
+		"simulations_total": {s.met.simRuns.Load(), 1},
+		"in_flight":         {s.met.inFlight.Load(), 0},
+		"queue_depth":       {s.met.queueDepth.Load(), 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d after the panic, want %d", name, c.got, c.want)
+		}
+	}
+	select {
+	case s.slots <- struct{}{}:
+		<-s.slots
+	default:
+		t.Error("the panicked simulation still holds the only run slot")
+	}
+	f2, leader, _ := s.flights.join("k", context.Background())
 	if !leader {
 		t.Error("the panicked flight did not retire: a later join coalesced onto it")
 	}
-	g.leave("k", f2)
+	s.flights.leave("k", f2)
 }
 
 // TestCancelledWaiterDoesNotAbortSharedFlight coalesces two clients onto

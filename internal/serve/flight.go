@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // flight is one in-progress computation shared by every request that
@@ -29,10 +30,13 @@ type flight struct {
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight
+	// panics counts the computations that panicked: a panic unwinds past
+	// every error count of the computation itself.
+	panics *atomic.Int64
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{m: map[string]*flight{}}
+func newFlightGroup(panics *atomic.Int64) *flightGroup {
+	return &flightGroup{m: map[string]*flight{}, panics: panics}
 }
 
 // join returns the flight for key, creating it if none is in progress.
@@ -72,11 +76,13 @@ func (g *flightGroup) leave(key string, f *flight) {
 // run executes fn, publishes its result, and retires the flight so a
 // later identical request starts fresh (a successful result will be in
 // the response cache by then). A panic in fn becomes the flight's
-// error, a 500 for its waiters, and the flight still retires.
+// error, a 500 for its waiters, and counts once in panics; the flight
+// still retires.
 func (g *flightGroup) run(key string, f *flight, fn func() (*response, error)) {
 	defer func() {
 		if p := recover(); p != nil {
 			f.err = fmt.Errorf("simulation panicked: %v", p)
+			g.panics.Add(1)
 		}
 		g.mu.Lock()
 		delete(g.m, key)

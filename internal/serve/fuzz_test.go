@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"intrawarp/internal/compaction"
+	"intrawarp/internal/workloads"
 )
 
 // FuzzDecodeRequest feeds arbitrary bodies through each endpoint's
@@ -40,8 +41,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	procs := runtime.GOMAXPROCS(0)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var run RunRequest
-		if decode(body, &run) && run.normalize() == nil {
-			checkRun(t, run, procs)
+		if decode(body, &run) {
+			if spec, err := run.normalize(); err == nil {
+				checkRun(t, run, spec, procs)
+			}
 		}
 
 		var exp ExperimentRequest
@@ -68,21 +71,21 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("%+v sized %d cells but expanded to %d", sw, sw.size(), len(cells))
 			}
 			for _, cell := range cells {
-				checkRun(t, cell, procs)
+				checkRun(t, cell.req, cell.spec, procs)
 			}
 		}
 	})
 }
 
-// checkRun checks one normalized run request's clamp, fixed point, echo
-// and group key.
-func checkRun(t *testing.T, run RunRequest, procs int) {
+// checkRun checks one normalized run request's clamp, fixed point,
+// resolved workload, echo and group key.
+func checkRun(t *testing.T, run RunRequest, spec *workloads.Spec, procs int) {
 	t.Helper()
 	if run.Workers < 0 || run.Workers > procs {
 		t.Fatalf("run workers normalized to %d, outside [0, %d]", run.Workers, procs)
 	}
 	again := run
-	if err := again.normalize(); err != nil || again != run {
+	if againSpec, err := again.normalize(); err != nil || again != run || againSpec.Name != spec.Name {
 		t.Fatalf("normalizing %+v again gave %+v, %v", run, again, err)
 	}
 	payload, err := encodeRunPayload(run, nil, nil)

@@ -25,8 +25,8 @@ type metrics struct {
 	queueDepth atomic.Int64 // requests waiting for a run slot
 	inFlight   atomic.Int64 // simulations holding a run slot
 
-	// Sweep-endpoint series: the cells-vs-executions split is the
-	// observable form of the trace-once design — sweep_cells_total
+	// Sweep-endpoint series: the cells-vs-executions split shows one
+	// execution serving every policy cell of its group — sweep_cells_total
 	// growing much faster than sweep_executions_total means cells are
 	// served by shared executions and the cache, not one run each.
 	sweeps          atomic.Int64 // /v1/sweep requests accepted
@@ -81,7 +81,7 @@ func (m *metrics) render(w io.Writer, cacheLen int) {
 	counter("errors_total", "simulations that failed", m.errors.Load())
 	counter("sweeps_total", "sweep requests accepted", m.sweeps.Load())
 	counter("sweep_cells_total", "sweep cells served as result lines", m.sweepCells.Load())
-	counter("sweep_executions_total", "trace-capturing functional executions for sweep groups", m.sweepExecutions.Load())
+	counter("sweep_executions_total", "functional executions for sweep groups", m.sweepExecutions.Load())
 	gauge("queue_depth", "requests waiting for a run slot", m.queueDepth.Load())
 	gauge("in_flight", "simulations currently holding a run slot", m.inFlight.Load())
 	gauge("cache_entries", "entries in the result cache", int64(cacheLen))

@@ -11,6 +11,7 @@ import (
 	"intrawarp/internal/compaction"
 	"intrawarp/internal/experiments"
 	"intrawarp/internal/kgen"
+	"intrawarp/internal/workloads"
 )
 
 // RunRequest asks for one workload execution. The zero value of every
@@ -53,37 +54,48 @@ type RunRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// normalize validates the request and folds equivalent spellings onto
-// one canonical form (the form the cache key is computed from).
-func (r *RunRequest) normalize() error {
+// normalize validates the request, folds equivalent spellings onto one
+// canonical form (the form the cache key is computed from) and returns
+// the workload it names, resolved at its SIMD width: the spec its cache
+// miss runs.
+func (r *RunRequest) normalize() (*workloads.Spec, error) {
 	if r.Workload == "" {
-		return fmt.Errorf("workload is required")
+		return nil, fmt.Errorf("workload is required")
 	}
 	if r.SIMDWidth < 0 {
-		return fmt.Errorf("simdWidth must be non-negative")
+		return nil, fmt.Errorf("simdWidth must be non-negative")
 	}
-	if _, err := experiments.ResolveSpec(r.Workload, r.SIMDWidth); err != nil {
-		return err
-	}
-	if r.Policy == "" {
-		r.Policy = compaction.IvyBridge.String()
-	}
-	p, err := compaction.ParsePolicy(r.Policy)
+	spec, err := experiments.ResolveSpec(r.Workload, r.SIMDWidth)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r.Policy = p.String()
+	if r.Policy, err = canonicalPolicy(r.Policy); err != nil {
+		return nil, err
+	}
 	if r.Size < 0 {
 		r.Size = 0
 	}
 	if r.DCLinesPerCycle < 0 {
-		return fmt.Errorf("dcLinesPerCycle must be non-negative")
+		return nil, fmt.Errorf("dcLinesPerCycle must be non-negative")
 	}
 	if r.DCLinesPerCycle == 0 {
 		r.DCLinesPerCycle = 1
 	}
 	r.Workers = clampWorkers(r.Workers)
-	return nil
+	return spec, nil
+}
+
+// canonicalPolicy is the canonical name of a policy name or alias; empty
+// selects Ivy Bridge.
+func canonicalPolicy(name string) (string, error) {
+	if name == "" {
+		return compaction.IvyBridge.String(), nil
+	}
+	p, err := compaction.ParsePolicy(name)
+	if err != nil {
+		return "", err
+	}
+	return p.String(), nil
 }
 
 // echo is the canonicalized request as its response echoes it and its
@@ -137,11 +149,9 @@ func (r ExperimentRequest) key() string { return hashJSON("experiment", r.echo()
 // SweepRequest asks for a grid of functional runs — the cross product
 // of workloads × policies × SIMD widths × sizes — streamed back as
 // NDJSON with one /v1/run response object per cell. Cells that share a
-// (workload, width, size, memory-config) group are evaluated
-// trace-once, cost-many: one functional execution accounts every
-// policy's cost and serves all of the group's policy cells
-// (internal/experiments), so a full-policy sweep costs one execution per
-// group, not seven.
+// (workload, width, size, memory-config) group share one functional
+// execution, whose accounting holds every policy's cost, so a
+// full-policy sweep costs one execution per group, not seven.
 type SweepRequest struct {
 	// Workloads is the workload axis; at least one name is required.
 	Workloads []string `json:"workloads"`
@@ -196,15 +206,23 @@ func mulSat(a, b int) int {
 	return a * b
 }
 
+// sweepCell is one grid point of a sweep: the canonical /v1/run request
+// its stream line answers and the workload that request names.
+type sweepCell struct {
+	req  RunRequest
+	spec *workloads.Spec
+}
+
 // cells expands the grid into canonicalized per-cell RunRequests in
 // grid order (workload-major, then width, size, policy). Each cell is
 // exactly the functional /v1/run request its stream line answers — the
 // basis of the per-cell byte-identity and cache-sharing guarantees.
-// Generated-corpus range names on the workload axis expand to one cell
-// column per index, each under its canonical single-kernel name, so
-// corpus cells share the cache with direct /v1/run requests for the
-// same kernel.
-func (r *SweepRequest) cells() ([]RunRequest, error) {
+// Each (workload, width, size) is normalized and its workload resolved
+// once, then copied under every policy. Generated-corpus range names on
+// the workload axis expand to one cell column per index, each under its
+// canonical single-kernel name, so corpus cells share the cache with
+// direct /v1/run requests for the same kernel.
+func (r *SweepRequest) cells() ([]sweepCell, error) {
 	if len(r.Workloads) == 0 {
 		return nil, fmt.Errorf("workloads is required (at least one)")
 	}
@@ -227,24 +245,29 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 	if len(sizes) == 0 {
 		sizes = []int{0}
 	}
-	cells := make([]RunRequest, 0, len(names)*len(widths)*len(sizes)*len(policies))
+	cells := make([]sweepCell, 0, len(names)*len(widths)*len(sizes)*len(policies))
 	for _, name := range names {
 		for _, w := range widths {
 			for _, n := range sizes {
+				base := RunRequest{
+					Workload:        name,
+					Size:            n,
+					SIMDWidth:       w,
+					Policy:          policies[0],
+					DCLinesPerCycle: r.DCLinesPerCycle,
+					PerfectL3:       r.PerfectL3,
+					SkipVerify:      r.SkipVerify,
+				}
+				spec, err := base.normalize()
+				if err != nil {
+					return nil, fmt.Errorf("cell %s/%s: %w", name, policies[0], err)
+				}
 				for _, p := range policies {
-					cell := RunRequest{
-						Workload:        name,
-						Size:            n,
-						SIMDWidth:       w,
-						Policy:          p,
-						DCLinesPerCycle: r.DCLinesPerCycle,
-						PerfectL3:       r.PerfectL3,
-						SkipVerify:      r.SkipVerify,
-					}
-					if err := cell.normalize(); err != nil {
+					cell := base
+					if cell.Policy, err = canonicalPolicy(p); err != nil {
 						return nil, fmt.Errorf("cell %s/%s: %w", name, p, err)
 					}
-					cells = append(cells, cell)
+					cells = append(cells, sweepCell{cell, spec})
 				}
 			}
 		}
@@ -252,9 +275,9 @@ func (r *SweepRequest) cells() ([]RunRequest, error) {
 	return cells, nil
 }
 
-// groupKey is the content address of a cell's trace-capture group:
-// every field of the canonicalized cell except the policy (served by the
-// group's one execution) and the worker knob (never part of any key).
+// groupKey is the content address of a cell's sweep group: every field
+// of the canonicalized cell except the policy (served by the group's one
+// execution) and the worker knob (never part of any key).
 func (r RunRequest) groupKey() string {
 	r.Policy = ""
 	return hashJSON("sweepgroup", r.echo())

@@ -41,6 +41,7 @@ import (
 	"intrawarp/internal/experiments"
 	"intrawarp/internal/gpu"
 	"intrawarp/internal/obs"
+	"intrawarp/internal/stats"
 	"intrawarp/internal/workloads"
 )
 
@@ -117,19 +118,19 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	base, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		cache:   newCache(cfg.CacheEntries),
-		flights: newFlightGroup(),
-		slots:   make(chan struct{}, cfg.Concurrency),
-		log:     cfg.Logger,
-		base:    base,
-		cancel:  cancel,
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		cache:  newCache(cfg.CacheEntries),
+		slots:  make(chan struct{}, cfg.Concurrency),
+		log:    cfg.Logger,
+		base:   base,
+		cancel: cancel,
 	}
 	if s.log == nil {
 		s.log = slog.Default()
 	}
 	s.met.init()
+	s.flights = newFlightGroup(&s.met.errors)
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
@@ -192,12 +193,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("timeline"); q == "1" || q == "true" {
 		req.Timeline = true
 	}
-	if err := req.normalize(); err != nil {
+	spec, err := req.normalize()
+	if err != nil {
 		s.finishError(w, tr, "run", http.StatusBadRequest, err)
 		return
 	}
 	s.serveCached(w, r, tr, "run", req.key(), func(ctx context.Context) (*response, error) {
-		return s.executeRun(ctx, &req)
+		return s.executeRun(ctx, &req, spec)
 	})
 }
 
@@ -373,15 +375,36 @@ func (s *Server) admitted(ctx context.Context, shed bool, fn func(context.Contex
 	return resp, err
 }
 
-// executeRun performs the simulation a normalized RunRequest describes.
-func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, error) {
-	spec, err := experiments.ResolveSpec(req.Workload, req.SIMDWidth)
+// executeRun performs the simulation a normalized RunRequest describes
+// on the spec its normalize returned, and encodes the response.
+func (s *Server) executeRun(ctx context.Context, req *RunRequest, spec *workloads.Spec) (*response, error) {
+	run, tl, err := s.simulate(ctx, req, spec)
 	if err != nil {
 		return nil, err
 	}
-	policy, err := compaction.ParsePolicy(req.Policy)
+	encStart := time.Now()
+	var tlBody json.RawMessage
+	if tl != nil {
+		if tlBody, err = tl.JSON(); err != nil {
+			return nil, err
+		}
+	}
+	body, err := encodeRunPayload(*req, run.Report(), tlBody)
 	if err != nil {
 		return nil, err
+	}
+	s.observeEncode(ctx, encStart)
+	return &response{status: http.StatusOK, body: body}, nil
+}
+
+// simulate is the server's one simulation step, shared by /v1/run
+// misses and sweep groups: it runs the execution a normalized RunRequest
+// describes on spec and records it in the run histograms. A timeline
+// request also returns the recorded timeline.
+func (s *Server) simulate(ctx context.Context, req *RunRequest, spec *workloads.Spec) (*stats.Run, *obs.Timeline, error) {
+	policy, err := compaction.ParsePolicy(req.Policy)
+	if err != nil {
+		return nil, nil, err
 	}
 	cfg := gpu.DefaultConfig().WithPolicy(policy)
 	cfg.Mem.DCLinesPerCycle = req.DCLinesPerCycle
@@ -403,23 +426,10 @@ func (s *Server) executeRun(ctx context.Context, req *RunRequest) (*response, er
 		SkipVerify: req.SkipVerify,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.observeRun(ctx, runStart, run.SIMDEfficiency(), true)
-
-	encStart := time.Now()
-	var tlBody json.RawMessage
-	if tl != nil {
-		if tlBody, err = tl.JSON(); err != nil {
-			return nil, err
-		}
-	}
-	body, err := encodeRunPayload(*req, run.Report(), tlBody)
-	if err != nil {
-		return nil, err
-	}
-	s.observeEncode(ctx, encStart)
-	return &response{status: http.StatusOK, body: body}, nil
+	return run, tl, nil
 }
 
 // encodeRunPayload renders the canonical /v1/run response body. The

@@ -444,7 +444,7 @@ func TestRequestKeyNormalization(t *testing.T) {
 	a := RunRequest{Workload: "bsearch"}
 	b := RunRequest{Workload: "bsearch", Policy: "ivybridge", Workers: 7}
 	for _, r := range []*RunRequest{&a, &b} {
-		if err := r.normalize(); err != nil {
+		if _, err := r.normalize(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,7 +452,7 @@ func TestRequestKeyNormalization(t *testing.T) {
 		t.Error("equivalent run requests produced different keys")
 	}
 	c := RunRequest{Workload: "bsearch", Timed: true}
-	if err := c.normalize(); err != nil {
+	if _, err := c.normalize(); err != nil {
 		t.Fatal(err)
 	}
 	if c.key() == a.key() {
@@ -479,7 +479,7 @@ func TestNormalizeClampsWorkers(t *testing.T) {
 	} {
 		run := RunRequest{Workload: "bsearch", Workers: tc.in}
 		exp := ExperimentRequest{ID: "table3", Workers: tc.in}
-		if err := run.normalize(); err != nil {
+		if _, err := run.normalize(); err != nil {
 			t.Fatal(err)
 		}
 		if err := exp.normalize(); err != nil {

@@ -11,13 +11,13 @@ import (
 	"time"
 
 	"intrawarp/internal/compaction"
-	"intrawarp/internal/experiments"
+	"intrawarp/internal/par"
+	"intrawarp/internal/workloads"
 )
 
-// POST /v1/sweep: the batch face of the trace-once, cost-many sweep
-// engine (internal/experiments). A request expands to a grid of
-// functional run cells and the response is NDJSON, one line per cell in
-// completion order:
+// POST /v1/sweep: a policy-sweep grid in one request. A request expands
+// to a grid of functional run cells and the response is NDJSON, one line
+// per cell in completion order:
 //
 //   - a result line is byte-for-byte the /v1/run response of that cell
 //     (an object with "request" and "report"), flushed the moment the
@@ -29,8 +29,10 @@ import (
 //
 // Cells are served from the same content-addressed cache as /v1/run;
 // misses are grouped by everything but policy, each group coalesced
-// onto one flight that performs a single trace-capturing execution
-// whose run serves every policy cell. Group flights wait for a run slot
+// onto one flight that runs the execution a /v1/run miss of its first
+// cell runs (simulate). That run's accounting holds every policy's
+// cost, and a functional report does not depend on the policy, so its
+// one report serves every policy cell. Group flights wait for a run slot
 // through the same admission as unary requests, counting in queue_depth,
 // but are never shed: a sweep already bounds its own fan-out (at most
 // Concurrency groups in flight) and its cells must not be 429-shed one
@@ -94,8 +96,8 @@ type sweepSummary struct {
 	// CacheHits counts cells served straight from the result cache.
 	CacheHits int `json:"cacheHits"`
 	// Executions counts the functional executions that served this
-	// sweep's cache-missed groups. Executions ≪ Cells is the trace-once
-	// design working.
+	// sweep's cache-missed groups: one per group, so Executions ≪ Cells
+	// when a sweep spans many policies.
 	Executions int `json:"executions"`
 	// Failed counts cells that streamed an error line.
 	Failed int `json:"failed"`
@@ -153,7 +155,7 @@ func (st *sweepStream) fail(cell *RunRequest, status int, err error) {
 	st.emitLocked(line)
 }
 
-// executed tallies one group's trace-once execution.
+// executed tallies one group's execution.
 func (st *sweepStream) executed() {
 	st.mu.Lock()
 	st.sum.Executions++
@@ -173,17 +175,17 @@ func (st *sweepStream) close(complete bool) sweepSummary {
 	return st.sum
 }
 
-// sweepGroup is one trace-capture group of a sweep: the cache-missed
-// cells (grid order) that share everything but policy.
+// sweepGroup is one group of a sweep: the cache-missed cells (grid
+// order) that share everything but policy, and the workload they name.
 type sweepGroup struct {
 	key   string
-	spec  experiments.GroupSpec
+	spec  *workloads.Spec
 	cells []*RunRequest
 }
 
 // streamSweep serves every cell: cache pass first, then the missed
-// groups on a bounded worker pool.
-func (s *Server) streamSweep(ctx context.Context, st *sweepStream, cells []RunRequest) {
+// groups, at most Concurrency at a time.
+func (s *Server) streamSweep(ctx context.Context, st *sweepStream, cells []sweepCell) {
 	st.sum.Cells = len(cells)
 
 	// Pass 1 — content-addressed cache: any cell computed before, by a
@@ -191,7 +193,7 @@ func (s *Server) streamSweep(ctx context.Context, st *sweepStream, cells []RunRe
 	var order []*sweepGroup
 	groups := map[string]*sweepGroup{}
 	for i := range cells {
-		cell := &cells[i]
+		cell := &cells[i].req
 		if body, ok := s.cache.get(cell.key()); ok {
 			s.met.cacheHits.Add(1)
 			st.cell(body, true)
@@ -201,49 +203,22 @@ func (s *Server) streamSweep(ctx context.Context, st *sweepStream, cells []RunRe
 		k := cell.groupKey()
 		g, ok := groups[k]
 		if !ok {
-			g = &sweepGroup{key: k, spec: experiments.GroupSpec{
-				Workload:   cell.Workload,
-				Width:      cell.SIMDWidth,
-				Size:       cell.Size,
-				SkipVerify: cell.SkipVerify,
-			}}
+			g = &sweepGroup{key: k, spec: cells[i].spec}
 			groups[k] = g
 			order = append(order, g)
 		}
 		g.cells = append(g.cells, cell)
 	}
-	if len(order) == 0 {
-		return
-	}
 
 	// Pass 2 — evaluate missed groups, each group's cells emitted the
-	// moment its flight retires.
-	workers := s.cfg.Concurrency
-	if workers > len(order) {
-		workers = len(order)
-	}
-	jobs := make(chan *sweepGroup)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range jobs {
-				s.serveSweepGroup(ctx, st, g)
-			}
-		}()
-	}
-dispatch:
-	for _, g := range order {
-		select {
-		case jobs <- g:
-		case <-ctx.Done():
-			break dispatch // the remaining groups never start
+	// moment its flight retires. Once the client is gone, no further
+	// group starts.
+	par.For(s.cfg.Concurrency, len(order), func(i int) {
+		if ctx.Err() == nil {
+			s.serveSweepGroup(ctx, st, order[i])
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if ctx.Err() != nil {
+	})
+	if len(order) > 0 && ctx.Err() != nil {
 		s.met.cancelled.Add(1)
 	}
 }
@@ -286,24 +261,23 @@ func (s *Server) serveSweepGroup(ctx context.Context, st *sweepStream, g *sweepG
 	}
 }
 
-// executeSweepGroup is a group flight's run: one trace-capturing
-// functional execution (experiments.ExecuteGroup), then every policy
-// cell of its run encoded exactly as /v1/run encodes it and published
-// to the shared result cache.
+// executeSweepGroup is a group flight's run: the execution a /v1/run
+// miss of the group's first cell runs, then its one report encoded under
+// every policy cell's request, exactly as /v1/run encodes it, and
+// published to the shared result cache.
 func (s *Server) executeSweepGroup(ctx context.Context, g *sweepGroup) (*response, error) {
-	runStart := time.Now()
-	res, err := experiments.ExecuteGroup(ctx, g.spec)
+	run, _, err := s.simulate(ctx, g.cells[0], g.spec)
 	if err != nil {
 		return nil, err
 	}
 	s.met.sweepExecutions.Add(1)
-	s.observeRun(ctx, runStart, res.Base.SIMDEfficiency(), true)
 
 	encStart := time.Now()
+	report := run.Report()
 	cells := make(map[string][]byte, compaction.NumPolicies)
 	for _, p := range compaction.Policies {
 		cell := g.cell(p)
-		body, err := encodeRunPayload(cell, res.Runs[p].Report(), nil)
+		body, err := encodeRunPayload(cell, report, nil)
 		if err != nil {
 			return nil, err
 		}
