@@ -25,8 +25,19 @@ import (
 // all seven policies and serves every policy cell of the group. One
 // replay of the execution's captured mask trace must reproduce its
 // accounting exactly (stats.MaskCountsEqual), and Verify also checks
-// that trace record by record against the independent oracle model. The
-// CLI sweep (simd-bench -sweep) sits on ExecuteGroup; POST /v1/sweep
+// that trace record by record against the independent oracle model.
+//
+// A sweep holds, per group, only what its cells return. Each sweep
+// worker captures into one trace buffer, truncated and reused for every
+// group it runs; once a group's capture has passed its checks and its
+// record count is taken, the sweep drops the trace, the resolved spec,
+// the capturing run and the runs of policies the grid did not ask for.
+// So a sweep's memory is the workers' largest groups plus its cells, not
+// every group's trace and kernel. ExecuteGroup, the one-group entry, runs
+// the same group step on a fresh buffer and hands its Records to the
+// caller.
+//
+// The CLI sweep (simd-bench -sweep) sits on Sweep; POST /v1/sweep
 // (internal/serve) runs the same one execution per group without
 // capturing a trace, since the execution's own accounting already holds
 // every policy's cost.
@@ -113,6 +124,9 @@ type GroupResult struct {
 	// captured the trace.
 	Base *stats.Run
 	// Records is the captured execution-mask trace across all launches.
+	// ExecuteGroup captures into a buffer of its own, so the slice
+	// belongs to the caller; a Sweep reuses its worker's buffer for the
+	// next group and keeps only the record count.
 	Records []trace.Record
 	// Runs holds one run per policy: a copy of Base with TimedPolicy set
 	// to that policy.
@@ -126,9 +140,28 @@ type GroupResult struct {
 // "sweep/<workload>" and the check as "sweep/<workload>/replay" (one
 // launch-level event pair, engine "trace-replay").
 func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
-	spec, err := ResolveSpec(gs.Workload, gs.Width)
+	col := &trace.Collector{}
+	spec, base, err := captureGroup(ctx, gs, col)
 	if err != nil {
 		return nil, err
+	}
+	res := &GroupResult{Spec: spec, Base: base, Records: col.Records}
+	for _, p := range compaction.Policies {
+		res.Runs[p] = policyRun(base, p)
+	}
+	return res, nil
+}
+
+// captureGroup is the group step of ExecuteGroup and Sweep.Run: it
+// truncates col, runs the group's one functional execution capturing
+// into it, and checks the capture (the oracle too under gs.Verify). On
+// success col holds exactly the group's records; on failure it may hold
+// part of them, which the next call truncates.
+func captureGroup(ctx context.Context, gs GroupSpec, col *trace.Collector) (*workloads.Spec, *stats.Run, error) {
+	col.Records = col.Records[:0]
+	spec, err := ResolveSpec(gs.Workload, gs.Width)
+	if err != nil {
+		return nil, nil, err
 	}
 	cfg := gpu.DefaultConfig()
 	var replayProbe obs.Probe
@@ -136,32 +169,33 @@ func ExecuteGroup(ctx context.Context, gs GroupSpec) (*GroupResult, error) {
 		cfg.EU.Probe = probes("sweep/" + spec.Name)
 		replayProbe = probes("sweep/" + spec.Name + "/replay")
 	}
-	col := &trace.Collector{}
 	base, err := workloads.ExecuteCtx(ctx, gpu.New(cfg), spec, workloads.ExecOptions{
 		Size:       gs.Size,
 		SkipVerify: gs.SkipVerify,
 		Visit:      col.Visit,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if gs.Verify {
 		if v, n := oracle.CheckTrace(col.Source(), nil); v != nil {
-			return nil, fmt.Errorf("experiments: %s: oracle violation after %d records: %w", spec.Name, n, v)
+			return nil, nil, fmt.Errorf("experiments: %s: oracle violation after %d records: %w", spec.Name, n, v)
 		}
 	}
 	if err := checkCapture(base, col.Records, replayProbe); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
+		return nil, nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
 	}
-	res := &GroupResult{Spec: spec, Base: base, Records: col.Records}
-	for _, p := range compaction.Policies {
-		run := stats.NewRun(base.Name, base.Width)
-		run.Merge(base)
-		run.Mem, run.L3HitRate = base.Mem, base.L3HitRate
-		run.TimedPolicy = p
-		res.Runs[p] = run
-	}
-	return res, nil
+	return spec, base, nil
+}
+
+// policyRun is p's cell of a group: a copy of the capturing run, which
+// already holds every policy's cost, with TimedPolicy set to p.
+func policyRun(base *stats.Run, p compaction.Policy) *stats.Run {
+	run := stats.NewRun(base.Name, base.Width)
+	run.Merge(base)
+	run.Mem, run.L3HitRate = base.Mem, base.L3HitRate
+	run.TimedPolicy = p
+	return run
 }
 
 // checkCapture replays the captured records once and fails unless they
@@ -343,22 +377,25 @@ func (s *Sweep) Cells() []SweepCell {
 
 // Run evaluates the grid: one functional execution per group (in
 // parallel on the worker pool), whose run serves every cell of the
-// group. Group errors are joined in grid order; a failed group fails the
-// sweep.
+// group. Each worker captures into one reused buffer, and a group keeps
+// only its record count and the runs of the grid's policies. Group
+// errors are joined in grid order; a failed group fails the sweep.
 func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 	cells := s.Cells()
+	index := map[groupKey]int{}
 	var order []groupKey
-	groups := map[groupKey]*GroupResult{}
 	for _, c := range cells {
 		k := c.group()
-		if _, ok := groups[k]; !ok {
-			groups[k] = nil
+		if _, ok := index[k]; !ok {
+			index[k] = len(order)
 			order = append(order, k)
 		}
 	}
-	results := make([]*GroupResult, len(order))
+	cols := make([]trace.Collector, min(par.Workers(s.workers), len(order)))
+	runs := make([][compaction.NumPolicies]*stats.Run, len(order))
+	records := make([]int, len(order))
 	errs := make([]error, len(order))
-	par.For(s.workers, len(order), func(i int) {
+	par.ForWorker(s.workers, len(order), func(w, i int) {
 		k := order[i]
 		size := k.size
 		if size == 0 && s.quick {
@@ -366,33 +403,37 @@ func (s *Sweep) Run(ctx context.Context) (*SweepOutcome, error) {
 				size = workloads.QuickSize(spec)
 			}
 		}
-		results[i], errs[i] = ExecuteGroup(ctx, GroupSpec{
+		_, base, err := captureGroup(ctx, GroupSpec{
 			Workload:   k.name,
 			Width:      k.width,
 			Size:       size,
 			SkipVerify: s.skipVerify,
 			Verify:     s.verify,
-		})
+		}, &cols[w])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		records[i] = len(cols[w].Records)
+		for _, p := range s.policies {
+			runs[i][p] = policyRun(base, p)
+		}
 	})
 	var failed []error
 	for i, k := range order {
 		if errs[i] != nil {
 			failed = append(failed, fmt.Errorf("experiments: sweep %s@%d/%d: %w", k.name, k.width, k.size, errs[i]))
-			continue
 		}
-		groups[k] = results[i]
 	}
 	if len(failed) > 0 {
 		return nil, errors.Join(failed...)
 	}
-	out := &SweepOutcome{Results: make([]SweepResult, 0, len(cells))}
+	out := &SweepOutcome{Results: make([]SweepResult, 0, len(cells)), Executions: len(order)}
 	for _, c := range cells {
-		g := groups[c.group()]
-		out.Results = append(out.Results, SweepResult{Cell: c, Run: g.Runs[c.Policy]})
+		out.Results = append(out.Results, SweepResult{Cell: c, Run: runs[index[c.group()]][c.Policy]})
 	}
-	out.Executions = len(order)
-	for _, g := range results {
-		out.Records += int64(len(g.Records))
+	for _, n := range records {
+		out.Records += int64(n)
 	}
 	return out, nil
 }

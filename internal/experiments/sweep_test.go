@@ -4,6 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,6 +322,136 @@ func TestCheckCaptureRejectsAlteredTrace(t *testing.T) {
 	}
 }
 
+// TestSweepReusedBufferMatchesFreshGroups runs a verified grid on one
+// worker, so every group captures into the buffer the first and largest
+// group (particlefilter at SIMD8) grew. Every cell must equal its fresh
+// ExecuteGroup run, and the record tally the fresh groups' counts.
+func TestSweepReusedBufferMatchesFreshGroups(t *testing.T) {
+	sw, err := NewSweep(SweepWorkloads("particlefilter", "bsearch", "urng"), SweepWidths(8, 16),
+		SweepVerify(), SweepWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := map[GroupSpec]*GroupResult{}
+	var records, largest int64
+	for _, c := range sw.Cells() {
+		gs := GroupSpec{Workload: c.Workload, Width: c.Width, Size: c.Size}
+		if fresh[gs] != nil {
+			continue
+		}
+		res, err := ExecuteGroup(context.Background(), gs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[gs] = res
+		n := int64(len(res.Records))
+		if records == 0 {
+			largest = n
+		} else if n >= largest {
+			t.Fatalf("group %+v has %d records, not fewer than the first group's %d", gs, n, largest)
+		}
+		records += n
+	}
+	if out.Records != records {
+		t.Errorf("sweep tallied %d records, want the fresh groups' %d", out.Records, records)
+	}
+	for _, r := range out.Results {
+		want := fresh[GroupSpec{Workload: r.Cell.Workload, Width: r.Cell.Width, Size: r.Cell.Size}].Runs[r.Cell.Policy]
+		if !reflect.DeepEqual(r.Run, want) {
+			t.Errorf("%s@%d/%s: sweep cell %+v, fresh group run %+v", r.Cell.Workload, r.Cell.Width, r.Cell.Policy, r.Run, want)
+		}
+	}
+}
+
+// cancelAfterWorkgroup cancels a run once its first workgroup retires,
+// so the run fails at the next workgroup with records captured.
+type cancelAfterWorkgroup struct {
+	obs.NullProbe
+	cancel context.CancelFunc
+}
+
+func (p cancelAfterWorkgroup) WorkgroupRetired(int, int64) { p.cancel() }
+
+// TestFailedGroupLeavesCleanBuffer fails a group after it has captured
+// records, then runs another group through the same collector: that
+// group's capture check must pass and its records equal a fresh
+// ExecuteGroup's.
+func TestFailedGroupLeavesCleanBuffer(t *testing.T) {
+	col := &trace.Collector{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx = obs.ContextWithProbes(ctx, func(string) obs.Probe { return cancelAfterWorkgroup{cancel: cancel} })
+	if _, _, err := captureGroup(ctx, GroupSpec{Workload: "particlefilter"}, col); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled group returned %v, want context.Canceled", err)
+	}
+	if len(col.Records) == 0 {
+		t.Fatal("the cancelled group captured no records, so the buffer is not exercised")
+	}
+
+	next := GroupSpec{Workload: "bsearch", Size: 300}
+	if _, _, err := captureGroup(context.Background(), next, col); err != nil {
+		t.Fatalf("group after a failed one: %v", err)
+	}
+	fresh, err := ExecuteGroup(context.Background(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(col.Records, fresh.Records) {
+		t.Errorf("reused buffer holds %d records, a fresh group %d (or they differ)", len(col.Records), len(fresh.Records))
+	}
+}
+
+// sweepHeapChild marks the child process of TestSweepHeapBounded.
+const sweepHeapChild = "INTRAWARP_SWEEP_HEAP_CHILD"
+
+// sweepHeapGrowthLimit bounds the heap a one-worker, single-policy sweep
+// over 512 corpus kernels may add. On linux/amd64 such a sweep grows
+// HeapSys by 0 or 4 MB (one step of the runtime's heap growth); a sweep
+// that kept every group's trace and kernel until the grid ended grew it
+// by 24 MB.
+const sweepHeapGrowthLimit = 8 << 20
+
+// TestSweepHeapBounded holds a sweep's memory to its worker's largest
+// group plus its cells: a one-worker, single-policy sweep over 512
+// corpus kernels may grow the heap by only a few MB. It measures in a
+// child process, where no other test's heap counts and the GC runs at
+// a low percent, so the heap tracks the live data closely.
+func TestSweepHeapBounded(t *testing.T) {
+	if os.Getenv(sweepHeapChild) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSweepHeapBounded$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), sweepHeapChild+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("child:\n%s", out)
+		if err != nil {
+			t.Fatalf("child process: %v", err)
+		}
+		return
+	}
+	debug.SetGCPercent(10)
+	sw, err := NewSweep(SweepWorkloads(kgen.RangeName("mixed", 1, 0, 512)),
+		SweepPolicies(compaction.SCC), SweepWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapSys) - int64(before.HeapSys) // it may shrink a little
+	t.Logf("%d cells over %d records grew HeapSys by %.2f MB", len(out.Results), out.Records, float64(grew)/(1<<20))
+	if grew >= sweepHeapGrowthLimit {
+		t.Errorf("sweep grew HeapSys by %d bytes, want under %d", grew, sweepHeapGrowthLimit)
+	}
+}
+
 // TestSweepDefaults checks the default axes: all seven policies at native
 // width and default (here quick) size.
 func TestSweepDefaults(t *testing.T) {
@@ -340,6 +477,24 @@ func TestSweepDefaults(t *testing.T) {
 // scheduling. Their ratio is the sweep engine's headline speedup.
 func BenchmarkSweepGridReplay(b *testing.B) {
 	sw, err := NewSweep(SweepWorkloads(sweepSet...), SweepQuick(), SweepWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sw.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepCorpusWindow is a one-worker, single-policy sweep over
+// a 64-kernel corpus window: its B/op gates what a sweep keeps per group
+// (a reused capture buffer and one run per cell, not every trace).
+func BenchmarkSweepCorpusWindow(b *testing.B) {
+	sw, err := NewSweep(SweepWorkloads(kgen.RangeName("mixed", 1, 0, 64)),
+		SweepPolicies(compaction.SCC), SweepWorkers(1))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -138,7 +138,10 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 	if visit == nil {
 		workers = min(par.Workers(g.Cfg.Workers), numWGs)
 	}
-	ws := make([]functionalWorker, workers)
+	if cap(g.workers) < workers {
+		g.workers = make([]functionalWorker, workers)
+	}
+	ws := g.workers[:workers]
 	for w := range ws {
 		ws[w] = functionalWorker{run: run, pool: g.threads(w, threadsPerWG)}
 		if workers > 1 {
@@ -201,7 +204,9 @@ func (g *GPU) RunFunctionalCtx(ctx context.Context, spec LaunchSpec, visit Instr
 
 // functionalWorker is one functional worker's state across the
 // workgroups it claims: its thread contexts, scratchpad and statistics,
-// the instructions it has stepped, and its first failure.
+// the instructions it has stepped, and its first failure. The GPU keeps
+// the records across launches, as it keeps the thread pools, and each
+// launch resets every entry it uses.
 type functionalWorker struct {
 	run   *stats.Run
 	pool  []*eu.Thread

@@ -194,6 +194,9 @@ type GPU struct {
 	// pools[w] is functional worker w's thread-context pool, grown to
 	// the largest workgroup launched so far.
 	pools [][]*eu.Thread
+	// workers holds the functional workers' records, grown to the most
+	// workers a launch has used.
+	workers []functionalWorker
 }
 
 // getWorkgroup reuses or creates a workgroup record, with a zeroed SLM

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -34,9 +36,11 @@ func FuzzDecodeRequest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	const maxCells = 64
-	s := New(Config{MaxBodyBytes: 1 << 12})
+	// A body that fails to decode is logged; the fuzzer's are discarded.
+	s := New(Config{MaxBodyBytes: 1 << 12, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	decode := func(body []byte, v any) bool {
-		return s.decode(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), v)
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		return s.decode(httptest.NewRecorder(), r, startTrace(r), "run", v)
 	}
 	procs := runtime.GOMAXPROCS(0)
 	f.Fuzz(func(t *testing.T, body []byte) {

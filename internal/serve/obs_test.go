@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,6 +217,101 @@ func TestTraceIDAndSpans(t *testing.T) {
 	for _, frag := range []string{`"trace_id":"` + id + `"`, `"route":"run"`, `"cache":"miss"`, `"span_run"`, `"span_queue"`} {
 		if !strings.Contains(logs, frag) {
 			t.Errorf("structured log missing %s:\n%s", frag, logs)
+		}
+	}
+}
+
+// TestRequestLogKeys pins every request exit's structured log line: its
+// keys, route, cache state and status. Each exit also echoes X-Trace-Id
+// and makes one request_seconds observation. Bodies that fail to decode
+// take the exit every other 400 takes, with the same envelope.
+func TestRequestLogKeys(t *testing.T) {
+	var logBuf bytes.Buffer
+	logMu := &syncWriter{w: &logBuf}
+	api := New(Config{Logger: slog.New(slog.NewJSONHandler(logMu, nil)), MaxSweepCells: 3})
+	ts := httptest.NewServer(api)
+	t.Cleanup(func() { ts.Close(); api.Close() })
+	observed := func() int64 {
+		var n int64
+		for i := range api.met.request.counts {
+			n += api.met.request.counts[i].Load()
+		}
+		return n
+	}
+
+	base := []string{"cache", "level", "msg", "route", "status", "time", "total", "trace_id"}
+	with := func(keys ...string) []string { return append(append([]string(nil), base...), keys...) }
+	failed := with("error")
+	cases := []struct {
+		name, path, body string
+		status           int
+		route, cache     string
+		keys             []string
+		decodeErr        bool // the envelope names the body, not its content
+	}{
+		{"run miss", "/v1/run", `{"workload":"bsearch","size":300}`, 200, "run", "miss",
+			with("span_cache", "span_wait", "span_queue", "span_run", "span_encode"), false},
+		{"run hit", "/v1/run", `{"workload":"bsearch","size":300}`, 200, "run", "hit", with("span_cache"), false},
+		{"sweep", "/v1/sweep", `{"workloads":["bsearch"],"policies":["scc"],"sizes":[200]}`, 200, "sweep", "miss", base, false},
+		{"run malformed", "/v1/run", `not json`, 400, "run", "miss", failed, true},
+		{"run unknown field", "/v1/run", `{"workload":"bsearch","nope":1}`, 400, "run", "miss", failed, true},
+		{"run unknown workload", "/v1/run", `{"workload":"nope"}`, 400, "run", "miss", failed, false},
+		{"experiment malformed", "/v1/experiment", `{`, 400, "experiment", "miss", failed, true},
+		{"experiment unknown field", "/v1/experiment", `{"id":"fig3","nope":1}`, 400, "experiment", "miss", failed, true},
+		{"experiment unknown id", "/v1/experiment", `{"id":"nope"}`, 400, "experiment", "miss", failed, false},
+		{"sweep malformed", "/v1/sweep", `[]`, 400, "sweep", "miss", failed, true},
+		{"sweep unknown field", "/v1/sweep", `{"workloads":["bsearch"],"nope":1}`, 400, "sweep", "miss", failed, true},
+		{"sweep invalid axis", "/v1/sweep", `{"workloads":["bsearch"],"policies":["warp-shuffle"]}`, 400, "sweep", "miss", failed, false},
+		{"sweep over cell limit", "/v1/sweep", `{"workloads":["bsearch"]}`, 400, "sweep", "miss", failed, false},
+	}
+	for i, tc := range cases {
+		id := "log-keys-" + strconv.Itoa(i)
+		before := observed()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+tc.path, strings.NewReader(tc.body))
+		req.Header.Set(traceIDHeader, id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.status)
+		}
+		if got := resp.Header.Get(traceIDHeader); got != id {
+			t.Errorf("%s: X-Trace-Id = %q, want %q", tc.name, got, id)
+		}
+		if n := observed() - before; n != 1 {
+			t.Errorf("%s: %d request_seconds observations, want 1", tc.name, n)
+		}
+		if tc.decodeErr && !bytes.Contains(body, []byte(`"invalid_request","message":"invalid request body: `)) {
+			t.Errorf("%s: body %s, want the invalid request body envelope", tc.name, body)
+		}
+
+		var line map[string]any
+		for _, l := range strings.Split(logMu.String(), "\n") {
+			var m map[string]any
+			if json.Unmarshal([]byte(l), &m) == nil && m["trace_id"] == id {
+				line = m
+			}
+		}
+		if line == nil {
+			t.Errorf("%s: no log line with trace_id %s", tc.name, id)
+			continue
+		}
+		keys := make([]string, 0, len(line))
+		for k := range line {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		want := append([]string(nil), tc.keys...)
+		sort.Strings(want)
+		if strings.Join(keys, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: log keys %v, want %v", tc.name, keys, want)
+		}
+		if line["route"] != tc.route || line["cache"] != tc.cache || line["status"] != float64(tc.status) {
+			t.Errorf("%s: logged route %v, cache %v, status %v; want %s, %s, %d",
+				tc.name, line["route"], line["cache"], line["status"], tc.route, tc.cache, tc.status)
 		}
 	}
 }

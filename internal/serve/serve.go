@@ -187,7 +187,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	tr := startTrace(r)
 	var req RunRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, tr, "run", &req) {
 		return
 	}
 	if q := r.URL.Query().Get("timeline"); q == "1" || q == "true" {
@@ -206,7 +206,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	tr := startTrace(r)
 	var req ExperimentRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, tr, "experiment", &req) {
 		return
 	}
 	if err := req.normalize(); err != nil {
@@ -497,11 +497,14 @@ func (s *Server) executeExperiment(ctx context.Context, req *ExperimentRequest) 
 	return &response{status: http.StatusOK, body: body}, nil
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// decode reads the request body into v. A body that does not decode
+// gets its 400 through finishError, traced and logged like every other
+// exit of route.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, tr *requestTrace, route string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		s.finishError(w, tr, route, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
 		return false
 	}
 	return true

@@ -43,7 +43,7 @@ import (
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr := startTrace(r)
 	var req SweepRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, tr, "sweep", &req) {
 		return
 	}
 	if n := req.size(); n > s.cfg.MaxSweepCells {
